@@ -11,6 +11,7 @@ output. Exit codes: 0 success, 1 verification failure, 2 usage error.
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 
@@ -88,7 +89,7 @@ def _emit(payload, params, stream):
     if params.get("csv"):
         write_csv(list(payload.keys()), [payload], stream)
     else:
-        stream.write(json.dumps(payload, indent=2) + "\n")
+        stream.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def build_graph(params):
@@ -114,6 +115,13 @@ def parse_f(spec, length):
     if len(parts) != length:
         raise ValueError(f"expected 1 or {length} responsivity entries, got {len(parts)}")
     return np.array([float(p) for p in parts])
+
+
+def _finite(value, flag):
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{flag} must be finite, got {value}")
+    return value
 
 
 def _resolve_r(g, params):
@@ -183,14 +191,14 @@ def run_fi(params, stream):
     g = build_graph(params)
     modality = params["modality"]
     r = _resolve_r(g, params)
-    phi = float(params.get("phi", 0.0))
+    phi = _finite(params.get("phi", 0.0), "--phi")
     length = g.n if modality == "phase" else 2 * g.n
     f = parse_f(params.get("f", "1"), length)
     if params.get("optimize"):
         alpha, beta, fi = optimize_angles(g, r, f, phi, modality)
     else:
-        alpha = float(params["alpha"])
-        beta = float(params["beta"])
+        alpha = _finite(params["alpha"], "--alpha")
+        beta = _finite(params["beta"], "--beta")
         fi = fi_star_ansatz(g, r, f, phi, alpha, beta, modality)
     qfi = qfi_reference(g, r, f, modality)
     report = FisherReport(value=fi, modality=modality, graph=g.label, n=g.n,
@@ -365,7 +373,7 @@ def main(argv=None):
             return 2
         try:
             return RUNNERS[manifest.command](dict(manifest.parameters), sys.stdout)
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
 
@@ -380,7 +388,7 @@ def main(argv=None):
             fh.write("\n")
     try:
         return RUNNERS[args.command](dict(manifest.parameters), sys.stdout)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,7 +13,9 @@ the mean carries it all. The local-oscillator angles are optimized under the
 star-graph ansatz theta = (alpha, beta, beta, ...).
 """
 
+import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -175,16 +177,113 @@ def _expand_ansatz(n, alpha, beta):
     return HomodyneSetting(theta)
 
 
-def fi_star_ansatz(g: Graph, r, f, phi, alpha, beta, modality) -> float:
-    """FI of the two-angle star setting: alpha on the hub, beta on the leaves."""
+def _check_ansatz(g: Graph, r, f, modality):
+    """Validate a two-angle star query; returns (r, f) as floats."""
     _require_star(g)
+    r = _check_r(r)
+    if modality not in ("phase", "displacement"):
+        raise ValueError(f"unknown modality {modality!r}")
+    length = g.n if modality == "phase" else 2 * g.n
+    f = np.asarray(f, dtype=float)
+    if f.shape != (length,):
+        raise ValueError(f"f must have length {length}")
+    return r, f
+
+
+def _sector_fi_function(n, r, f, phi, modality):
+    """Two-angle star FI on the symmetric sector, for leaves of one responsivity.
+
+    The ansatz gives sigma_M and d sigma_M the form hub + (a I + b J) on the
+    m = n - 1 leaves, so both are block diagonal in the basis (hub,
+    symmetric leaf mode, m - 1 antisymmetric leaf modes): a 2x2 sector S2 and
+    the (m - 1)-fold eigenvalue a. With x = e^{2r}, p = sin(psi),
+    q = cos(psi) and psi = theta - f phi (psi = theta for displacement),
+
+        S2 = [[h, c sqrt(m)], [c sqrt(m), a + b m]],
+        h = x q_H^2 m / 2 + (x p_H^2 + q_H^2 / x) / 2,
+        c = x (q_H p_L + p_H q_L) / 2,  a = (x p_L^2 + q_L^2 / x) / 2,
+        b = x q_L^2 / 2,
+
+    FI_phase = Tr[(S2^-1 dS2)^2] / 2 + (m - 1) (da / a)^2 / 2 and
+    FI_disp = d2^T S2^-1 d2 with d2 = (p_H f_n - q_H f_0,
+    sqrt(m) (p_L f_{n+1} - q_L f_1)). Since sigma_M = x L L^T / 2 +
+    diag(q)^2 / (2x) with L = diag(p) + diag(q) A, det S2 is a sum of
+    non-negative terms and is evaluated that way, without cancellation.
+
+    Returns fi(alpha, beta), which takes floats or numpy arrays, or None
+    when the leaves' responsivities differ.
+    """
+    if modality == "phase":
+        if np.any(f[1:] != f[-1]):
+            return None
+        f_h, f_l = float(f[0]), float(f[-1])
+        shift_h, shift_l = f_h * phi, f_l * phi
+    else:
+        if np.any(f[1:n] != f[n - 1]) or np.any(f[n + 1:] != f[-1]):
+            return None
+        fq_h, fq_l, fp_h, fp_l = (float(v) for v in f[[0, n - 1, n, -1]])
+        shift_h = shift_l = 0.0
+    m = n - 1
+    rm = math.sqrt(m)
+    x = math.exp(2.0 * r)
+
+    def fi(alpha, beta):
+        if isinstance(alpha, np.ndarray):
+            sin, cos = np.sin, np.cos
+        else:
+            sin, cos = math.sin, math.cos
+        ph, qh = sin(alpha - shift_h), cos(alpha - shift_h)
+        pl, ql = sin(beta - shift_l), cos(beta - shift_l)
+        h = 0.5 * (x * (m * qh * qh + ph * ph) + qh * qh / x)
+        if modality == "displacement":
+            d1 = ph * fp_h - qh * fq_h
+            if m == 0:
+                return d1 * d1 / h
+            d2 = rm * (pl * fp_l - ql * fq_l)
+        else:
+            dph, dqh = -f_h * qh, f_h * ph
+            dh = x * (m * qh * dqh + ph * dph) + qh * dqh / x
+            if m == 0:
+                return 0.5 * (dh / h) ** 2
+        s12 = 0.5 * rm * x * (qh * pl + ph * ql)
+        a = 0.5 * (x * pl * pl + ql * ql / x)
+        s22 = a + 0.5 * m * x * ql * ql
+        lin = ph * pl - m * qh * ql
+        det = (0.25 * x * x * lin * lin
+               + 0.25 * (qh * qh * pl * pl + ql * ql * ph * ph + 2.0 * m * qh * qh * ql * ql)
+               + 0.25 * qh * qh * ql * ql / (x * x))
+        if modality == "displacement":
+            return (s22 * d1 * d1 - 2.0 * s12 * d1 * d2 + h * d2 * d2) / det
+        dpl, dql = -f_l * ql, f_l * pl
+        d12 = 0.5 * rm * x * (dqh * pl + qh * dpl + dph * ql + ph * dql)
+        da = x * pl * dpl + ql * dql / x
+        d22 = da + m * x * ql * dql
+        # adj(S2) dS2, whose squared trace over det^2 is Tr[(S2^-1 dS2)^2]
+        k11 = s22 * dh - s12 * d12
+        k12 = s22 * d12 - s12 * d22
+        k21 = h * d12 - s12 * dh
+        k22 = h * d22 - s12 * d12
+        return (0.5 * (k11 * k11 + 2.0 * k12 * k21 + k22 * k22) / (det * det)
+                + 0.5 * (m - 1) * (da / a) ** 2)
+
+    return fi
+
+
+def fi_star_ansatz(g: Graph, r, f, phi, alpha, beta, modality) -> float:
+    """FI of the two-angle star setting: alpha on the hub, beta on the leaves.
+
+    Leaves of one responsivity take the O(1) sector route of
+    `_sector_fi_function`; otherwise the dense moments are built.
+    """
+    r, f = _check_ansatz(g, r, f, modality)
+    sector = _sector_fi_function(g.n, r, f, float(phi), modality)
+    if sector is not None:
+        return float(sector(float(alpha), float(beta)))
     setting = _expand_ansatz(g.n, alpha, beta)
     if modality == "phase":
         m = phase_measurement_moments(g, r, f, phi, setting)
-    elif modality == "displacement":
-        m = displacement_measurement_moments(g, r, f, phi, setting)
     else:
-        raise ValueError(f"unknown modality {modality!r}")
+        m = displacement_measurement_moments(g, r, f, phi, setting)
     return gaussian_fisher_information(m)
 
 
@@ -243,16 +342,19 @@ def optimize_angles(g: Graph, r, f, phi, modality):
     axes. The extra starts matter at large r, where the global optimum sits
     on a ridge of width ~e^{-2r} that the coarse grid cannot resolve. All
     candidates are ranked by their FI value; simplex refinement runs coarsely
-    from the leaders and once more, tightly, from the winner.
+    from the leaders and once more, tightly, from the winner, with FI
+    tolerances relative to the best candidate's value.
     """
-    _require_star(g)
-    r = _check_r(r)
-    f = np.asarray(f, dtype=float)
+    r, f = _check_ansatz(g, r, f, modality)
+    phi = float(phi)
+    batch = point = _sector_fi_function(g.n, r, f, phi, modality)
+    if batch is None:  # leaves of different responsivities: dense moments
+        batch = partial(_ansatz_batch_values, g, r, f, phi, modality)
+        point = partial(fi_star_ansatz, g, r, f, phi, modality=modality)
 
     grid = np.linspace(0.0, TWO_PI, 64, endpoint=False)
     aa, bb = np.meshgrid(grid, grid, indexing="ij")
-    vals = _ansatz_batch_values(g, r, f, phi, modality,
-                                aa.ravel(), bb.ravel()).reshape(64, 64)
+    vals = batch(aa.ravel(), bb.ravel()).reshape(64, 64)
 
     cand = []
     taken = []
@@ -283,7 +385,7 @@ def optimize_angles(g: Graph, r, f, phi, modality):
              for db in (-eps, 0.0, eps)]
     ea = np.array([s[0] for s in extra])
     eb = np.array([s[1] for s in extra])
-    evals = _ansatz_batch_values(g, r, f, phi, modality, ea, eb)
+    evals = batch(ea, eb)
     cand.extend(zip(evals.tolist(), ea.tolist(), eb.tolist()))
 
     # keep the most promising torus-separated candidates
@@ -301,18 +403,21 @@ def optimize_angles(g: Graph, r, f, phi, modality):
             break
 
     def neg(ab):
-        return -fi_star_ansatz(g, r, f, phi, ab[0], ab[1], modality)
+        return -point(*ab.tolist())
 
+    # FI tolerances scale with the best candidate: at large r the FI reaches
+    # 1e3..1e6, where a fixed absolute tolerance cannot be resolved
+    scale = cand[0][0]
     best_val = -np.inf
     best_ab = None
     for s in starts:
         res = minimize(neg, np.asarray(s, dtype=float), method="Nelder-Mead",
-                       options={"xatol": 1e-7, "fatol": 1e-10, "maxiter": 600})
+                       options={"xatol": 1e-7, "fatol": 1e-10 * scale, "maxiter": 600})
         if -res.fun > best_val:
             best_val = -res.fun
             best_ab = res.x
     res = minimize(neg, best_ab, method="Nelder-Mead",
-                   options={"xatol": 1e-11, "fatol": 1e-13, "maxiter": 4000})
+                   options={"xatol": 1e-11, "fatol": 1e-13 * scale, "maxiter": 4000})
     if -res.fun > best_val:
         best_val = -res.fun
         best_ab = res.x

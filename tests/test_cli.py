@@ -127,6 +127,20 @@ def test_fi_fixed_angles_bounded_by_qfi(capsys):
     assert payload["alpha"] == pytest.approx(1.2)
 
 
+@pytest.mark.parametrize("angles", [
+    ("--alpha", "nan", "--beta", "0"),
+    ("--alpha", "0.3", "--beta", "inf"),
+    ("--alpha", "0.3", "--beta", "0", "--phi", "nan"),
+    ("--optimize", "--phi=-inf"),
+])
+def test_fi_rejects_non_finite_angles(capsys, angles):
+    code, out, err = run_cli(capsys, "fi", "phase", "--star", "3", "--r", "1", *angles)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --") and "must be finite" in err
+    assert err.count("\n") == 1
+
+
 def test_fi_angle_flags_conflict(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fi", "phase", "--star", "3", "--r", "1",
@@ -206,6 +220,19 @@ def test_manifest_missing_file(capsys):
     code, _, err = run_cli(capsys, "--manifest", "/nonexistent/m.json")
     assert code == 2
     assert "manifest" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("qfi", "phase", "--r", "1", "--edges"),
+    ("figure", "fig2", "--n-max", "8", "--output"),
+])
+def test_missing_path_is_usage_error(tmp_path, capsys, argv):
+    missing = tmp_path / "missing" / "file"
+    code, out, err = run_cli(capsys, *argv, str(missing))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(missing) in err
+    assert err.count("\n") == 1
 
 
 def test_command_required(capsys):

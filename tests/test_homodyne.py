@@ -1,5 +1,7 @@
 """Homodyne moment construction, Fisher information, angle optimization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -278,6 +280,101 @@ def test_optimize_deterministic():
     first = optimize_angles(g, 1.0, f, 0.0, "phase")
     second = optimize_angles(g, 1.0, f, 0.0, "phase")
     assert first == second
+
+
+# --- symmetric-sector route of the star ansatz --------------------------------
+
+
+def _dense_fi(g, r, f, phi, alpha, beta, modality):
+    """The star ansatz through the dense moments and the Cholesky FI."""
+    setting = HomodyneSetting([alpha] + [beta] * (g.n - 1))
+    moments = (phase_measurement_moments if modality == "phase"
+               else displacement_measurement_moments)
+    return gaussian_fisher_information(moments(g, r, f, phi, setting))
+
+
+def _uniform_leaf_f(rng, n, modality):
+    """Random hub and shared leaf responsivities (per quadrature for displacement)."""
+    blocks = 1 if modality == "phase" else 2
+    parts = []
+    for _ in range(blocks):
+        hub, leaf = rng.uniform(-2.0, 2.0, 2)
+        parts += [[hub], np.full(n - 1, leaf)]
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("modality", ["phase", "displacement"])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
+def test_sector_matches_dense_route(n, modality):
+    rng = np.random.default_rng(100 + n)
+    g = star_graph(n) if n > 1 else empty_graph(1)
+    for _ in range(20):
+        r = float(rng.uniform(0.0, 3.0))
+        phi = float(rng.uniform(0.1, 1.5))
+        f = _uniform_leaf_f(rng, n, modality)
+        alpha, beta = rng.uniform(0.0, 2 * np.pi, 2)
+        sector = fi_star_ansatz(g, r, f, phi, alpha, beta, modality)
+        assert sector == pytest.approx(_dense_fi(g, r, f, phi, alpha, beta, modality),
+                                       rel=1e-9)
+
+
+def test_nonuniform_leaves_take_dense_route():
+    g = star_graph(4)
+    f_phase = np.array([1.0, 0.5, 0.7, 1.3])
+    f_disp = np.array([1.0, 0.5, 0.5, 0.5, 0.2, 0.4, 0.4, 0.9])
+    for f, modality in ((f_phase, "phase"), (f_disp, "displacement")):
+        assert (fi_star_ansatz(g, 1.1, f, 0.4, 0.3, 2.0, modality)
+                == _dense_fi(g, 1.1, f, 0.4, 0.3, 2.0, modality))
+
+
+def test_optimize_nonuniform_leaves():
+    g = star_graph(3)
+    f = np.array([1.0, 0.4, 0.8])
+    alpha, beta, fi = optimize_angles(g, 0.5, f, 0.2, "phase")
+    assert fi == pytest.approx(_dense_fi(g, 0.5, f, 0.2, alpha, beta, "phase"), rel=1e-9)
+    assert 0.0 < fi <= qfi_reference(g, 0.5, f, "phase") * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("modality", ["phase", "displacement"])
+def test_optimize_large_star_memory(modality):
+    # the dense prescreen would hold 4096 x n x n arrays: 2 GB each at n = 256
+    g = star_graph(256)
+    r, phi = 1.0, 0.3
+    f = np.ones(g.n if modality == "phase" else 2 * g.n)
+    tracemalloc.start()
+    try:
+        alpha, beta, fi = optimize_angles(g, r, f, phi, modality)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096 * g.n * 8
+    assert fi <= qfi_reference(g, r, f, modality) * (1 + 1e-9)
+    grid = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
+    prescreen_best = max(fi_star_ansatz(g, r, f, phi, a, b, modality)
+                         for a in grid for b in grid)
+    assert fi >= prescreen_best
+
+
+# optimized FI of the fig3/fig5 rows at n = 2, 7 (phi = 0, f = 1) from the
+# dense moments route; the dense values at these optima read high by up to
+# 9e-10 relative against a 50-digit evaluation
+SATURATION_FI = {
+    ("phase", 2, 1.0): 109.21707582569411,
+    ("phase", 7, 1.0): 1474.2318226129173,
+    ("phase", 2, 3.0): 325509.5828853994,
+    ("phase", 7, 3.0): 4394379.369697448,
+    ("displacement", 2, 1.0): 118.7662387158408,
+    ("displacement", 7, 1.0): 1080.6968844093994,
+    ("displacement", 2, 3.0): 6454.870611599575,
+    ("displacement", 7, 3.0): 58900.638589338705,
+}
+
+
+@pytest.mark.parametrize("modality,n,r", sorted(SATURATION_FI))
+def test_optimize_saturation_values(modality, n, r):
+    f = np.ones(n if modality == "phase" else 2 * n)
+    _, _, fi = optimize_angles(star_graph(n), r, f, 0.0, modality)
+    assert fi == pytest.approx(SATURATION_FI[modality, n, r], rel=1e-9)
 
 
 # --- Monte-Carlo cross-check ------------------------------------------------
