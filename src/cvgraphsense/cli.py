@@ -24,9 +24,8 @@ from .graph import (EdgelessGraphError, adjacency_square_sum, chi_disp,
                     chi_phase, empty_graph, load_edge_list,
                     multipartite_graph, rectangular_graph, star_graph,
                     trace_power)
-from .homodyne import fi_star_ansatz, optimize_angles, qfi_reference
-from .qfi import (qfi_displacement, qfi_displacement_closed_form,
-                  qfi_phase_closed_form, qfi_phase_generic)
+from .homodyne import fi_star_ansatz, optimize_angles
+from .qfi import qfi, qfi_displacement, qfi_phase_generic
 
 CROSS_CHECK_TOL = 1e-9
 
@@ -159,14 +158,9 @@ def run_qfi(params, stream):
     modality = params["modality"]
     r = _resolve_r(g, params)
     state = graph_state_covariance(g, r)
-    if modality == "phase":
-        f = parse_f(params.get("f", "1"), g.n)
-        closed = qfi_phase_closed_form(g, r, f)
-        cross = qfi_phase_generic(state, f)
-    else:
-        f = parse_f(params.get("f", "1"), 2 * g.n)
-        closed = qfi_displacement_closed_form(g, r, f)
-        cross = qfi_displacement(state, f)
+    f = parse_f(params.get("f", "1"), g.n if modality == "phase" else 2 * g.n)
+    closed = qfi(g, r, f, modality)
+    cross = (qfi_phase_generic if modality == "phase" else qfi_displacement)(state, f)
     diff = oracle.rel_error(closed, cross)
     payload = {
         "value": closed,
@@ -200,13 +194,13 @@ def run_fi(params, stream):
         alpha = _finite(params["alpha"], "--alpha")
         beta = _finite(params["beta"], "--beta")
         fi = fi_star_ansatz(g, r, f, phi, alpha, beta, modality)
-    qfi = qfi_reference(g, r, f, modality)
+    q = qfi(g, r, f, modality)
     report = FisherReport(value=fi, modality=modality, graph=g.label, n=g.n,
                           r=r, n_bar=mean_photon_number(g, r), phi=phi,
                           alpha=alpha, beta=beta)
     payload = report.to_dict()
-    payload["qfi"] = qfi
-    payload["ratio"] = fi / qfi
+    payload["qfi"] = q
+    payload["ratio"] = fi / q
     _emit(payload, params, stream)
     return 0
 
@@ -364,8 +358,11 @@ def main(argv=None):
     if args.manifest:
         try:
             with open(args.manifest, "r", encoding="utf-8") as fh:
-                manifest = RunManifest.from_dict(json.load(fh))
-        except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+                doc = json.load(fh)
+            if not isinstance(doc, dict):
+                raise ValueError("not a JSON object")
+            manifest = RunManifest.from_dict(doc)
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             print(f"error: cannot load manifest: {exc}", file=sys.stderr)
             return 2
         if manifest.command not in RUNNERS:
@@ -373,9 +370,13 @@ def main(argv=None):
             return 2
         try:
             return RUNNERS[manifest.command](dict(manifest.parameters), sys.stdout)
+        except KeyError as exc:
+            print(f"error: manifest lacks parameter {exc}", file=sys.stderr)
+        except TypeError as exc:
+            print(f"error: invalid manifest parameter: {exc}", file=sys.stderr)
         except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return 2
+        return 2
 
     if not args.command:
         parser.error("a subcommand or --manifest is required")

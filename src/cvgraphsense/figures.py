@@ -8,15 +8,13 @@ parameter separately for each graph at every grid point.
 
 import numpy as np
 
-from .gaussian import graph_state_covariance, squeeze_for_photon_budget
+from .gaussian import squeeze_for_photon_budget
 from .graph import empty_graph, star_graph
 from .homodyne import optimize_angles
-from .qfi import qfi_displacement, qfi_phase_closed_form
+from .qfi import qfi
 
 FIG2_COLUMNS = ("n", "N_bar", "qfi_star", "qfi_separable", "ratio")
 FIG3_COLUMNS = ("n", "r", "qfi", "fi_opt", "alpha", "beta", "ratio")
-FIG4_COLUMNS = FIG2_COLUMNS
-FIG5_COLUMNS = FIG3_COLUMNS
 
 NBAR_GRID = tuple(np.geomspace(10.0, 1000.0, 16))
 DEFAULT_N_MAX = 512
@@ -32,16 +30,9 @@ def n_grid(n_max=DEFAULT_N_MAX):
 
 def _qfi_pair(n, target_n, modality):
     """(star, separable) QFI at mode count n and photon budget target_n."""
-    gs = star_graph(n)
-    ge = empty_graph(n)
-    rows = []
-    for g in (gs, ge):
-        r = squeeze_for_photon_budget(g, target_n)
-        if modality == "phase":
-            rows.append(qfi_phase_closed_form(g, r, np.ones(n)))
-        else:
-            rows.append(qfi_displacement(graph_state_covariance(g, r), np.ones(2 * n)))
-    return rows[0], rows[1]
+    f = np.ones(n if modality == "phase" else 2 * n)
+    return tuple(qfi(g, squeeze_for_photon_budget(g, target_n), f, modality)
+                 for g in (star_graph(n), empty_graph(n)))
 
 
 def scaling_rows(modality, n_fixed=10, nbar_grid=NBAR_GRID,
@@ -81,32 +72,23 @@ def saturation_rows(modality, r_values=(1.0, 3.0), n_values=range(2, 9), phi=0.0
     for r in r_values:
         for n in n_values:
             g = star_graph(int(n))
-            if modality == "phase":
-                f = np.ones(g.n)
-                qfi = qfi_phase_closed_form(g, r, f)
-            else:
-                f = np.ones(2 * g.n)
-                qfi = qfi_displacement(graph_state_covariance(g, r), f)
+            f = np.ones(g.n if modality == "phase" else 2 * g.n)
+            q = qfi(g, r, f, modality)
             alpha, beta, fi = optimize_angles(g, r, f, phi, modality)
-            rows.append({"n": int(n), "r": float(r), "qfi": qfi, "fi_opt": fi,
-                         "alpha": alpha, "beta": beta, "ratio": fi / qfi})
+            rows.append({"n": int(n), "r": float(r), "qfi": q, "fi_opt": fi,
+                         "alpha": alpha, "beta": beta, "ratio": fi / q})
     return rows
 
 
 def figure_table(name, n_max=DEFAULT_N_MAX, ntilde_max=10.0, phi=0.0):
     """Dispatch a figure name to (columns, rows, warnings)."""
-    if name == "fig2":
-        rows, warn = scaling_rows("phase", ntilde_values=(1.0, float(ntilde_max)),
-                                  n_max=n_max)
+    if name in ("fig2", "fig4"):
+        rows, warn = scaling_rows("phase" if name == "fig2" else "displacement",
+                                  ntilde_values=(1.0, float(ntilde_max)), n_max=n_max)
         return FIG2_COLUMNS, rows, warn
-    if name == "fig4":
-        rows, warn = scaling_rows("displacement", ntilde_values=(1.0, float(ntilde_max)),
-                                  n_max=n_max)
-        return FIG4_COLUMNS, rows, warn
-    if name == "fig3":
-        return FIG3_COLUMNS, saturation_rows("phase", phi=phi), []
-    if name == "fig5":
-        return FIG5_COLUMNS, saturation_rows("displacement", phi=phi), []
+    if name in ("fig3", "fig5"):
+        modality = "phase" if name == "fig3" else "displacement"
+        return FIG3_COLUMNS, saturation_rows(modality, phi=phi), []
     raise ValueError(f"unknown figure {name!r}")
 
 

@@ -71,6 +71,8 @@ def squeeze_for_photon_budget(g: Graph, target_n) -> float:
     range in the message.
     """
     target_n = float(target_n)
+    if not np.isfinite(target_n):
+        raise ValueError(f"target photon number must be finite, got {target_n}")
     if target_n <= 0:
         raise ValueError("target photon number must be positive")
     lo = mean_photon_number(g, 0.0)

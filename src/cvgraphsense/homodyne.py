@@ -15,17 +15,17 @@ star-graph ansatz theta = (alpha, beta, beta, ...).
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.optimize import minimize
 
-from .gaussian import R_CAP, graph_state_covariance
+from .gaussian import R_CAP
 from .graph import Graph
-from .qfi import qfi_displacement, qfi_phase_closed_form
 
 TWO_PI = 2.0 * np.pi
+# angle pairs per dense moments evaluation in the optimizer's prescreen
+BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -71,94 +71,99 @@ def _check_r(r):
     return r
 
 
-def phase_measurement_moments(g: Graph, r, f, phi, setting: HomodyneSetting) -> MeasurementMoments:
-    """Moments of homodyne outcomes under phase sensing.
+def _moments(g: Graph, r, f, phi, theta, modality):
+    """Outcome moments of k angle settings at once: theta has shape (k, n).
 
-    With P = F2 G1 - G2 F1 and Q = G1 G2 + F1 F2,
+    With x = e^{2r}, p = sin(psi), q = cos(psi), psi = theta - f phi for
+    phase sensing and psi = theta for displacement sensing,
 
-        sigma_M = [P U^-1 P + Q V U^-1 P + P U^-1 V Q + Q (U + V U^-1 V) Q] / 2
+        sigma_M = x L L^T / 2 + diag(q)^2 / (2x),   L = diag(p) + diag(q) A.
 
-    and omega = 0. The derivative d sigma_M / d phi is assembled analytically
-    through the product rule, using dG1 = -D F1 and dF1 = D G1 with
-    D = diag(f).
+    Returns (sigma_M, d sigma_M, d omega) stacked over the k rows. Under phase
+    sensing omega vanishes and d sigma_M follows from the product rule with
+    dp = -f q, dq = f p (d omega is None); under displacement sensing sigma_M
+    does not depend on phi (d sigma_M is None) and d omega = p f_p - q f_q.
     """
-    r = _check_r(r)
     n = g.n
+    x = math.exp(2.0 * r)
+    a = g.adjacency.astype(float)
+    eye = np.eye(n)
+    psi = theta - f * phi if modality == "phase" else theta
+    p, q = np.sin(psi), np.cos(psi)
+    lmat = p[:, :, None] * eye + q[:, :, None] * a
+    idx = np.arange(n)
+    sigma = 0.5 * x * (lmat @ lmat.swapaxes(1, 2))
+    sigma[:, idx, idx] += 0.5 * q * q / x
+    if modality != "phase":
+        return sigma, None, p * f[n:] - q * f[:n]
+    dp, dq = -f * q, f * p
+    k = (dp[:, :, None] * eye + dq[:, :, None] * a) @ lmat.swapaxes(1, 2)
+    d_sigma = 0.5 * x * (k + k.swapaxes(1, 2))
+    d_sigma[:, idx, idx] += q * dq / x
+    return sigma, d_sigma, None
+
+
+def _check_moments_query(g: Graph, r, f, setting, length):
+    r = _check_r(r)
     f = np.asarray(f, dtype=float)
-    if f.shape != (n,):
-        raise ValueError(f"f must have length {n}")
+    if f.shape != (length,):
+        raise ValueError(f"f must have length {length}")
     theta = np.asarray(setting.theta, dtype=float)
-    if theta.shape != (n,):
-        raise ValueError(f"theta must have length {n}")
+    if theta.shape != (g.n,):
+        raise ValueError(f"theta must have length {g.n}")
+    return r, f, theta[None]
 
-    g1, f1, g2, f2 = diag_trig_matrices(f, phi, theta)
-    d = np.diag(f)
-    x = np.exp(2.0 * r)
-    u = np.exp(-2.0 * r) * np.eye(n)
-    u_inv = x * np.eye(n)
-    v = g.adjacency.astype(float)
-    w = u + v @ u_inv @ v
 
-    p = f2 @ g1 - g2 @ f1
-    q = g1 @ g2 + f1 @ f2
-    dp = f2 @ (-d @ f1) - g2 @ (d @ g1)
-    dq = (-d @ f1) @ g2 + (d @ g1) @ f2
+def phase_measurement_moments(g: Graph, r, f, phi, setting: HomodyneSetting) -> MeasurementMoments:
+    """Moments of homodyne outcomes under phase sensing (one setting of `_moments`).
 
-    sigma = 0.5 * (p @ u_inv @ p + q @ v @ u_inv @ p
-                   + p @ u_inv @ v @ q + q @ w @ q)
-    d_sigma = 0.5 * (dp @ u_inv @ p + p @ u_inv @ dp
-                     + dq @ v @ u_inv @ p + q @ v @ u_inv @ dp
-                     + dp @ u_inv @ v @ q + p @ u_inv @ v @ dq
-                     + dq @ w @ q + q @ w @ dq)
-    return MeasurementMoments(omega=np.zeros(n), sigma_m=sigma,
-                              d_omega=np.zeros(n), d_sigma=d_sigma)
+    omega = 0; sigma_M and its analytic derivative d sigma_M / d phi depend
+    on the angles only through theta - f phi.
+    """
+    r, f, theta = _check_moments_query(g, r, f, setting, g.n)
+    sigma, d_sigma, _ = _moments(g, r, f, float(phi), theta, "phase")
+    return MeasurementMoments(omega=np.zeros(g.n), sigma_m=sigma[0],
+                              d_omega=np.zeros(g.n), d_sigma=d_sigma[0])
 
 
 def displacement_measurement_moments(g: Graph, r, f, phi, setting: HomodyneSetting) -> MeasurementMoments:
-    """Moments of homodyne outcomes under displacement sensing.
+    """Moments of homodyne outcomes under displacement sensing (one setting of `_moments`).
 
     omega_i = phi (sin(theta_i) f_{n+i} - cos(theta_i) f_i); sigma_M is the
     phi-independent covariance of the measured quadratures, so d_sigma = 0.
     """
-    r = _check_r(r)
-    n = g.n
-    f = np.asarray(f, dtype=float)
-    if f.shape != (2 * n,):
-        raise ValueError(f"f must have length {2 * n}")
-    theta = np.asarray(setting.theta, dtype=float)
-    if theta.shape != (n,):
-        raise ValueError(f"theta must have length {n}")
+    r, f, theta = _check_moments_query(g, r, f, setting, 2 * g.n)
+    sigma, _, d_omega = _moments(g, r, f, float(phi), theta, "displacement")
+    return MeasurementMoments(omega=float(phi) * d_omega[0], sigma_m=sigma[0],
+                              d_omega=d_omega[0], d_sigma=np.zeros((g.n, g.n)))
 
-    s = np.sin(theta)
-    c = np.cos(theta)
-    x = np.exp(2.0 * r)
-    v = g.adjacency.astype(float)
-    v2 = v @ v
 
-    sigma = 0.5 * (x * (np.outer(c, s) * v + np.outer(s, c) * v)
-                   + x * np.outer(c, c) * v2)
-    sigma[np.arange(n), np.arange(n)] += 0.5 * (x * s**2 + c**2 / x)
+def _fisher(sigma, d_sigma=None, d_omega=None):
+    """Gaussian FI of k stacked outcome models; a derivative given as None is zero.
 
-    d_omega = s * f[n:] - c * f[:n]
-    omega = float(phi) * d_omega
-    return MeasurementMoments(omega=omega, sigma_m=sigma,
-                              d_omega=d_omega, d_sigma=np.zeros((n, n)))
+    With sigma_M = C C^T (Cholesky), I = |C^-1 d sigma_M C^-T|_F^2 / 2 +
+    |C^-1 d omega|^2: the trace form as a sum of squares.
+    """
+    try:
+        c = np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("sigma_M is not positive definite; perturb the angles") from exc
+    fi = np.zeros(sigma.shape[0])
+    if d_sigma is not None:
+        w = np.linalg.solve(c, d_sigma)
+        w = np.linalg.solve(c, w.swapaxes(1, 2))
+        fi += 0.5 * np.einsum("kij,kij->k", w, w)
+    if d_omega is not None:
+        z = np.linalg.solve(c, d_omega[:, :, None])
+        fi += np.einsum("kij,kij->k", z, z)
+    return fi
 
 
 def gaussian_fisher_information(m: MeasurementMoments) -> float:
     """Fisher information of a Gaussian outcome model from its moments."""
-    try:
-        c = cho_factor(m.sigma_m, lower=True, check_finite=False)
-    except LinAlgError as exc:
-        raise ValueError("sigma_M is not positive definite; perturb the angles") from exc
-    term1 = 0.0
-    if np.any(m.d_sigma):
-        y = cho_solve(c, m.d_sigma, check_finite=False)
-        term1 = 0.5 * float(np.einsum("ij,ji->", y, y))
-    term2 = 0.0
-    if np.any(m.d_omega):
-        term2 = float(m.d_omega @ cho_solve(c, m.d_omega, check_finite=False))
-    return term1 + term2
+    d_sigma = m.d_sigma[None] if np.any(m.d_sigma) else None
+    d_omega = m.d_omega[None] if np.any(m.d_omega) else None
+    return float(_fisher(m.sigma_m[None], d_sigma, d_omega)[0])
 
 
 def _require_star(g: Graph):
@@ -169,12 +174,6 @@ def _require_star(g: Graph):
     leaves_ok = not np.any(a[1:, 1:])
     if not (hub_ok and leaves_ok):
         raise ValueError("angle ansatz requires a star graph with hub at vertex 1")
-
-
-def _expand_ansatz(n, alpha, beta):
-    theta = np.full(n, float(beta))
-    theta[0] = float(alpha)
-    return HomodyneSetting(theta)
 
 
 def _check_ansatz(g: Graph, r, f, modality):
@@ -269,6 +268,31 @@ def _sector_fi_function(n, r, f, phi, modality):
     return fi
 
 
+def _dense_fi_function(g: Graph, r, f, phi, modality):
+    """Two-angle star FI through the full n x n moments, for any leaf responsivities.
+
+    Returns fi(alpha, beta), which takes floats or numpy arrays; arrays are
+    evaluated in blocks of BLOCK angle pairs, so each moment array holds
+    BLOCK * n^2 entries whatever the number of pairs.
+    """
+    n = g.n
+
+    def block_fi(alphas, betas):
+        theta = np.empty((alphas.size, n))
+        theta[:, 0] = alphas
+        theta[:, 1:] = betas[:, None]
+        return _fisher(*_moments(g, r, f, phi, theta, modality))
+
+    def fi(alpha, beta):
+        if not isinstance(alpha, np.ndarray):
+            return float(block_fi(np.array([alpha]), np.array([beta]))[0])
+        a, b = alpha.ravel(), beta.ravel()
+        return np.concatenate([block_fi(a[k:k + BLOCK], b[k:k + BLOCK])
+                               for k in range(0, a.size, BLOCK)]).reshape(alpha.shape)
+
+    return fi
+
+
 def fi_star_ansatz(g: Graph, r, f, phi, alpha, beta, modality) -> float:
     """FI of the two-angle star setting: alpha on the hub, beta on the leaves.
 
@@ -276,62 +300,10 @@ def fi_star_ansatz(g: Graph, r, f, phi, alpha, beta, modality) -> float:
     `_sector_fi_function`; otherwise the dense moments are built.
     """
     r, f = _check_ansatz(g, r, f, modality)
-    sector = _sector_fi_function(g.n, r, f, float(phi), modality)
-    if sector is not None:
-        return float(sector(float(alpha), float(beta)))
-    setting = _expand_ansatz(g.n, alpha, beta)
-    if modality == "phase":
-        m = phase_measurement_moments(g, r, f, phi, setting)
-    else:
-        m = displacement_measurement_moments(g, r, f, phi, setting)
-    return gaussian_fisher_information(m)
-
-
-def _ansatz_batch_values(g: Graph, r, f, phi, modality, alphas, betas):
-    """FI of the two-angle ansatz at paired (alpha, beta) points, batched."""
-    n = g.n
-    x = np.exp(2.0 * r)
-    v = g.adjacency.astype(float)
-    v2 = v @ v
-    f = np.asarray(f, dtype=float)
-    alphas = np.asarray(alphas, dtype=float)
-    betas = np.asarray(betas, dtype=float)
-
-    theta = np.zeros((alphas.size, n))
-    theta[:, 0] = alphas
-    if n > 1:
-        theta[:, 1:] = betas[:, None]
-
-    if modality == "phase":
-        psi = theta - f * float(phi)
-        p = np.sin(psi)
-        q = np.cos(psi)
-        dp = -f * q
-        dq = f * p
-    else:
-        p = np.sin(theta)
-        q = np.cos(theta)
-
-    sig = 0.5 * x * (q[:, :, None] * v * p[:, None, :]
-                     + p[:, :, None] * v * q[:, None, :]
-                     + q[:, :, None] * v2 * q[:, None, :])
-    idx = np.arange(n)
-    sig[:, idx, idx] += 0.5 * (x * p**2 + q**2 / x)
-
-    if modality == "phase":
-        dsig = 0.5 * x * (dq[:, :, None] * v * p[:, None, :]
-                          + q[:, :, None] * v * dp[:, None, :]
-                          + dp[:, :, None] * v * q[:, None, :]
-                          + p[:, :, None] * v * dq[:, None, :]
-                          + dq[:, :, None] * v2 * q[:, None, :]
-                          + q[:, :, None] * v2 * dq[:, None, :])
-        dsig[:, idx, idx] += 0.5 * (2.0 * x * p * dp + 2.0 * q * dq / x)
-        y = np.linalg.solve(sig, dsig)
-        return 0.5 * np.einsum("kij,kji->k", y, y)
-
-    d_omega = p * f[n:] - q * f[:n]
-    w = np.linalg.solve(sig, d_omega[..., None])[..., 0]
-    return np.einsum("ki,ki->k", d_omega, w)
+    phi = float(phi)
+    fi = (_sector_fi_function(g.n, r, f, phi, modality)
+          or _dense_fi_function(g, r, f, phi, modality))
+    return float(fi(float(alpha), float(beta)))
 
 
 def optimize_angles(g: Graph, r, f, phi, modality):
@@ -347,14 +319,12 @@ def optimize_angles(g: Graph, r, f, phi, modality):
     """
     r, f = _check_ansatz(g, r, f, modality)
     phi = float(phi)
-    batch = point = _sector_fi_function(g.n, r, f, phi, modality)
-    if batch is None:  # leaves of different responsivities: dense moments
-        batch = partial(_ansatz_batch_values, g, r, f, phi, modality)
-        point = partial(fi_star_ansatz, g, r, f, phi, modality=modality)
+    fi = (_sector_fi_function(g.n, r, f, phi, modality)
+          or _dense_fi_function(g, r, f, phi, modality))
 
     grid = np.linspace(0.0, TWO_PI, 64, endpoint=False)
     aa, bb = np.meshgrid(grid, grid, indexing="ij")
-    vals = batch(aa.ravel(), bb.ravel()).reshape(64, 64)
+    vals = fi(aa, bb)
 
     cand = []
     taken = []
@@ -385,7 +355,7 @@ def optimize_angles(g: Graph, r, f, phi, modality):
              for db in (-eps, 0.0, eps)]
     ea = np.array([s[0] for s in extra])
     eb = np.array([s[1] for s in extra])
-    evals = batch(ea, eb)
+    evals = fi(ea, eb)
     cand.extend(zip(evals.tolist(), ea.tolist(), eb.tolist()))
 
     # keep the most promising torus-separated candidates
@@ -403,7 +373,7 @@ def optimize_angles(g: Graph, r, f, phi, modality):
             break
 
     def neg(ab):
-        return -point(*ab.tolist())
+        return -fi(*ab.tolist())
 
     # FI tolerances scale with the best candidate: at large r the FI reaches
     # 1e3..1e6, where a fixed absolute tolerance cannot be resolved
@@ -456,12 +426,3 @@ def fi_monte_carlo(m: MeasurementMoments, sample_count, seed):
     estimate = float(np.mean(sq))
     std_error = float(np.std(sq, ddof=1) / np.sqrt(sample_count))
     return estimate, std_error
-
-
-def qfi_reference(g: Graph, r, f, modality) -> float:
-    """QFI matching a homodyne configuration, for saturation ratios."""
-    if modality == "phase":
-        return qfi_phase_closed_form(g, r, f)
-    if modality == "displacement":
-        return qfi_displacement(graph_state_covariance(g, r), f)
-    raise ValueError(f"unknown modality {modality!r}")

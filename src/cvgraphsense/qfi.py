@@ -14,7 +14,7 @@ included for the scaling figures.
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .gaussian import GaussianState, graph_state_covariance
+from .gaussian import GaussianState
 from .graph import Graph, trace_power
 
 
@@ -121,6 +121,15 @@ def qfi_displacement_closed_form(g: Graph, r, f) -> float:
             + 2.0 * x * float(fp @ (a @ a) @ fp))
 
 
+def qfi(g: Graph, r, f, modality) -> float:
+    """Closed-form QFI of the graph state on g for the given sensing modality."""
+    if modality == "phase":
+        return qfi_phase_closed_form(g, r, f)
+    if modality == "displacement":
+        return qfi_displacement_closed_form(g, r, f)
+    raise ValueError(f"unknown modality {modality!r}")
+
+
 def qfi_phase_star_asymptote(n, n_bar, f) -> float:
     """Large-budget phase benchmark for the star probe: (16/9) f^2 N^2."""
     if n < 2:
@@ -140,14 +149,3 @@ def qfi_displacement_star_asymptote(n, n_bar, f) -> float:
     if n < 2:
         raise ValueError("star asymptote needs n >= 2")
     return (8.0 / 3.0) * float(f) ** 2 * n * float(n_bar)
-
-
-def qfi_phase_for_graph(g: Graph, r, f) -> float:
-    """Convenience wrapper: closed form, with the generic form as a cross-check
-    left to the oracle suite."""
-    return qfi_phase_closed_form(g, r, f)
-
-
-def qfi_displacement_for_graph(g: Graph, r, f) -> float:
-    """Convenience wrapper building the covariance and applying the quadratic form."""
-    return qfi_displacement(graph_state_covariance(g, r), f)

@@ -109,6 +109,18 @@ def test_qfi_unreachable_budget_is_usage_error(capsys):
     assert "unreachable" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("fi", "phase", "--star", "3", "--target-N", "inf", "--optimize"),
+    ("qfi", "phase", "--star", "3", "--target-N", "nan"),
+])
+def test_non_finite_budget_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: target photon number must be finite")
+    assert err.count("\n") == 1
+
+
 def test_fi_optimized_displacement(capsys):
     code, out, _ = run_cli(capsys, "fi", "displacement", "--star", "4",
                            "--r", "1", "--optimize")
@@ -220,6 +232,24 @@ def test_manifest_missing_file(capsys):
     code, _, err = run_cli(capsys, "--manifest", "/nonexistent/m.json")
     assert code == 2
     assert "manifest" in err
+
+
+@pytest.mark.parametrize("doc", [
+    {"command": "qfi", "parameters": {"star": 3}},
+    {"command": "qfi", "parameters": {"modality": "phase", "star": 3, "r": None,
+                                      "target_n": None}},
+    {"command": "fi", "parameters": {"modality": "phase", "star": 3, "r": 1.0,
+                                     "beta": 0.2}},
+    [1, 2],
+])
+def test_malformed_manifest_is_usage_error(tmp_path, capsys, doc):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "--manifest", str(manifest))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

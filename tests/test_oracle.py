@@ -2,9 +2,12 @@
 
 import json
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from cvgraphsense import oracle
 from cvgraphsense.oracle import (
     DERIVATIVE_TOL,
     DISPLACEMENT_TOL,
@@ -69,6 +72,27 @@ def test_derivative_suite_passes():
     rep = run_fi_derivative_check(100, seed=42)
     assert rep.passed
     assert rep.max_rel_error <= DERIVATIVE_TOL
+
+
+def _shifted(moments, field, index):
+    """`moments` with one derivative entry off by 1e-4 (where the mode count allows)."""
+    def wrapped(g, r, f, phi, setting):
+        m = moments(g, r, f, phi, setting)
+        d = getattr(m, field).copy()
+        if d.size > index[-1]:
+            d[index] += 1e-4
+        return dataclasses.replace(m, **{field: d})
+    return wrapped
+
+
+@pytest.mark.parametrize("name,field,index", [
+    ("phase_measurement_moments", "d_sigma", (0, 1)),
+    ("displacement_measurement_moments", "d_omega", (0,)),
+])
+def test_derivative_suite_catches_wrong_derivative(monkeypatch, name, field, index):
+    monkeypatch.setattr(oracle, name, _shifted(getattr(oracle, name), field, index))
+    for seed in (1, 2):
+        assert not run_fi_derivative_check(20, seed).passed
 
 
 def test_suites_deterministic():

@@ -10,6 +10,7 @@ from cvgraphsense.gaussian import (
 )
 from cvgraphsense.graph import Graph, empty_graph, star_graph
 from cvgraphsense.qfi import (
+    qfi,
     qfi_displacement,
     qfi_displacement_closed_form,
     qfi_displacement_star_asymptote,
@@ -218,3 +219,21 @@ def test_displacement_star_dominates_separable():
 def test_star_asymptote_rejects_bad_n():
     with pytest.raises(ValueError):
         qfi_displacement_star_asymptote(1, 10.0, 1.0)
+
+
+# --- dispatch by modality ---------------------------------------------------
+
+
+def test_qfi_dispatches_to_closed_forms():
+    g = star_graph(4)
+    f = np.array([1.0, 0.5, -0.3, 2.0])
+    assert qfi(g, 0.7, f, "phase") == qfi_phase_closed_form(g, 0.7, f)
+    f2 = np.concatenate([f, f[::-1]])
+    assert qfi(g, 0.7, f2, "displacement") == qfi_displacement_closed_form(g, 0.7, f2)
+    assert qfi(g, 0.7, f2, "displacement") == pytest.approx(
+        qfi_displacement(graph_state_covariance(g, 0.7), f2), rel=1e-12)
+
+
+def test_qfi_rejects_unknown_modality():
+    with pytest.raises(ValueError, match="unknown modality"):
+        qfi(star_graph(3), 1.0, np.ones(3), "amplitude")
