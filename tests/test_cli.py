@@ -77,6 +77,14 @@ def test_qfi_phase_star3(capsys):
     assert payload["N_bar"] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("m, r", [(64, "1"), (256, "1"), (64, "3")])
+def test_qfi_phase_dense_graph_cross_check(capsys, m, r):
+    # dense multipartite graphs once failed the covariance cross-check
+    code, out, _ = run_cli(capsys, "qfi", "phase", "--multipartite", "4", str(m), "--r", r)
+    assert code == 0
+    assert json.loads(out)["rel_difference"] <= 1e-12
+
+
 def test_qfi_displacement_empty(capsys):
     code, out, _ = run_cli(capsys, "qfi", "displacement", "--empty", "4", "--r", "0")
     assert code == 0
@@ -194,6 +202,13 @@ def test_verify_photon_suite(capsys):
     assert len(reports) == 1
     assert reports[0]["name"] == "photon_identity"
     assert reports[0]["passed"] is True
+
+
+def test_verify_all_seed_242(capsys):
+    # this seed draws r = 0.002238 on one mode, where Tr(cov)/2 - n/2 cancels
+    code, out, _ = run_cli(capsys, "verify", "all", "--cases", "200", "--seed", "242")
+    assert code == 0
+    assert all(rep["passed"] for rep in json.loads(out))
 
 
 def test_verify_rejects_zero_cases(capsys):

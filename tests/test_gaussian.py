@@ -10,7 +10,13 @@ from cvgraphsense.gaussian import (
     photon_number_from_covariance,
     squeeze_for_photon_budget,
 )
-from cvgraphsense.graph import Graph, empty_graph, star_graph
+from cvgraphsense.graph import (Graph, empty_graph, multipartite_graph,
+                                rectangular_graph, star_graph)
+
+
+def _random_graph(rng, n):
+    a = np.triu((rng.random((n, n)) < 0.5).astype(int), k=1)
+    return Graph(n, a + a.T)
 
 
 def test_vacuum_covariance():
@@ -33,6 +39,38 @@ def test_star_blocks_at_r_zero():
     np.testing.assert_allclose(state.cov[:3, :3], 0.5 * np.eye(3), atol=1e-15)
     np.testing.assert_allclose(state.cov[:3, 3:], 0.5 * a, atol=1e-15)
     np.testing.assert_allclose(state.cov[3:, 3:], 0.5 * (np.eye(3) + a @ a), atol=1e-15)
+
+
+def test_covariance_matches_block_reference():
+    # the in-place build reproduces the four-block formula bit for bit
+    rng = np.random.default_rng(23)
+    graphs = [star_graph(6), empty_graph(5), rectangular_graph(3),
+              multipartite_graph(3, 4)] + [_random_graph(rng, n) for n in (1, 4, 9, 30)]
+    for g in graphs:
+        for r in (-1.3, 0.0, 0.4, 2.5):
+            n = g.n
+            x = np.exp(2.0 * r)
+            a = g.adjacency.astype(float)
+            reference = np.block([
+                [0.5 * x * np.eye(n), 0.5 * x * a],
+                [0.5 * x * a, 0.5 * (np.exp(-2.0 * r) * np.eye(n) + x * (a @ a))]])
+            cov = graph_state_covariance(g, r).cov
+            assert cov.tobytes() == reference.tobytes(), (g.label, r)
+
+
+def test_excess_diagonal_is_cov_minus_half():
+    g = star_graph(5)
+    state = graph_state_covariance(g, 0.9)
+    np.testing.assert_allclose(state.excess_diag, np.diag(state.cov) - 0.5, rtol=1e-14)
+
+
+def test_photon_number_tiny_squeezing():
+    # Tr(cov)/2 - n/2 loses digits here (3.1e-12 relative); the excess
+    # diagonal keeps them
+    for g in (empty_graph(1), star_graph(3)):
+        for r in (0.002238, 1e-2):
+            via_cov = photon_number_from_covariance(graph_state_covariance(g, r))
+            assert via_cov == pytest.approx(mean_photon_number(g, r), rel=1e-13, abs=0)
 
 
 def test_covariance_symmetric():

@@ -7,6 +7,7 @@ from cvgraphsense.graph import (
     EdgelessGraphError,
     Graph,
     adjacency_square_sum,
+    adjacency_squared,
     chi_disp,
     chi_phase,
     empty_graph,
@@ -127,8 +128,19 @@ def test_graph_validation():
         Graph(2, np.array([[0, 1], [0, 0]]))  # asymmetric
     with pytest.raises(ValueError):
         Graph(2, np.array([[1, 0], [0, 0]]))  # nonzero diagonal
-    with pytest.raises(ValueError):
-        Graph(2, np.array([[0, 2], [2, 0]]))  # entries not 0/1
+    for entry in (2, -1):  # entries not 0/1
+        with pytest.raises(ValueError, match="adjacency entries must be 0 or 1"):
+            Graph(2, np.array([[0, entry], [entry, 0]]))
+
+
+def test_adjacency_squared_is_exact():
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 5, 13, 64, 200):
+        a = np.triu((rng.random((n, n)) < 0.5).astype(int), k=1)
+        g = Graph(n, a + a.T)
+        a2 = adjacency_squared(g)
+        assert a2.dtype == np.float64
+        np.testing.assert_array_equal(a2, np.linalg.matrix_power(g.adjacency, 2))
 
 
 def test_trace_power_star():

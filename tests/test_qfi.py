@@ -1,5 +1,7 @@
 """Quantum Fisher information: closed forms, generic route, asymptotes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from cvgraphsense.gaussian import (
     mean_photon_number,
     squeeze_for_photon_budget,
 )
-from cvgraphsense.graph import Graph, empty_graph, star_graph
+from cvgraphsense.graph import (Graph, empty_graph, multipartite_graph,
+                                rectangular_graph, star_graph)
 from cvgraphsense.qfi import (
     qfi,
     qfi_displacement,
@@ -97,6 +100,36 @@ def test_phase_closed_vs_generic_random():
         generic = qfi_phase_generic(graph_state_covariance(g, r), f)
         denom = max(abs(closed), abs(generic), 1e-30)
         assert abs(closed - generic) / denom < 1e-9
+
+
+def _omega(n):
+    z, i = np.zeros((n, n)), np.eye(n)
+    return np.block([[z, i], [-i, z]])
+
+
+@pytest.mark.parametrize("g", [star_graph(9), rectangular_graph(6), multipartite_graph(4, 64)],
+                         ids=lambda g: g.label)
+@pytest.mark.parametrize("r", [0.0, 1.0, 3.0])
+def test_purity_premise_symplectic(g, r):
+    # qfi_phase_generic assumes S^-1 = -4 Omega S Omega, i.e. 4 S Omega S = Omega
+    s = graph_state_covariance(g, r).cov
+    omega = _omega(g.n)
+    residual = np.max(np.abs(4.0 * s @ omega @ s - omega)) / np.max(np.abs(s)) ** 2
+    assert residual <= 1e-12
+
+
+def test_phase_generic_needs_purity():
+    # on a mixed state the inverse-free form is not the trace formula
+    g = star_graph(4)
+    f = np.array([1.0, 0.5, -0.3, 2.0])
+    state = graph_state_covariance(g, 0.8)
+    mixed = dataclasses.replace(state, cov=1.5 * state.cov)
+    gmat = np.block([[np.zeros((4, 4)), np.diag(f)], [-np.diag(f), np.zeros((4, 4))]])
+    for st, pure in ((state, True), (mixed, False)):
+        s = st.cov
+        trace_form = 0.5 * np.trace(gmat @ gmat - gmat @ np.linalg.solve(s, gmat @ s))
+        agrees = qfi_phase_generic(st, f) == pytest.approx(trace_form, rel=1e-9)
+        assert agrees == pure
 
 
 # --- displacement sensing --------------------------------------------------
