@@ -14,7 +14,6 @@ pure: det(2 cov) = 1.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .graph import Graph, adjacency_squared, trace_power
 
@@ -77,9 +76,14 @@ def photon_number_from_covariance(state: GaussianState) -> float:
 def squeeze_for_photon_budget(g: Graph, target_n) -> float:
     """Invert the photon budget: find r >= 0 with mean photon number target_n.
 
-    The photon number is strictly increasing in r >= 0, so bisection on
-    [0, R_CAP] suffices. Targets outside the reachable range raise with the
-    range in the message.
+    With x = e^{2r}, N(r) = n sinh^2 r + x T2/4 (T2 = Tr A^2) turns into a
+    quadratic in y = x - 1,
+
+        (n + T2) y^2 + (2 T2 - 4N) y - (4N - T2) = 0,
+
+    whose positive root is taken in closed form, in whichever form of the
+    quadratic formula adds terms of one sign, and r = log1p(y)/2. Targets
+    outside the reachable range raise with the range in the message.
     """
     target_n = float(target_n)
     if not np.isfinite(target_n):
@@ -103,8 +107,18 @@ def squeeze_for_photon_budget(g: Graph, target_n) -> float:
         return 0.0
     if abs(target_n - hi) <= tol:
         return R_CAP
-    r = brentq(lambda rr: mean_photon_number(g, rr) - target_n, 0.0, R_CAP,
-               xtol=1e-15, rtol=8.9e-16, maxiter=200)
+    # past the endpoint checks 4N > T2, so the discriminant
+    # 4 (4N^2 + n (4N - T2)) is a sum of positive terms
+    n = g.n
+    t2 = trace_power(g, 2)
+    excess = 4.0 * target_n - t2
+    sqrt_disc = 2.0 * np.sqrt(4.0 * target_n ** 2 + n * excess)
+    lin = 4.0 * target_n - 2.0 * t2
+    if lin >= 0:
+        y = (lin + sqrt_disc) / (2.0 * (n + t2))
+    else:
+        y = 2.0 * excess / (sqrt_disc - lin)
+    r = 0.5 * np.log1p(y)
     if abs(mean_photon_number(g, r) - target_n) > tol:
-        raise RuntimeError("photon-budget bisection failed to converge")
+        raise RuntimeError("photon-budget inversion missed its target")
     return float(r)

@@ -14,11 +14,10 @@ star-graph ansatz theta = (alpha, beta, beta, ...).
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.optimize import minimize
 
 from .gaussian import R_CAP
 from .graph import Graph
@@ -26,6 +25,13 @@ from .graph import Graph
 TWO_PI = 2.0 * np.pi
 # angle pairs per dense moments evaluation in the optimizer's prescreen
 BLOCK = 64
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on first call so that only the angle
+    optimizer loads scipy."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -386,8 +392,13 @@ def optimize_angles(g: Graph, r, f, phi, modality):
         if -res.fun > best_val:
             best_val = -res.fun
             best_ab = res.x
-    res = minimize(neg, best_ab, method="Nelder-Mead",
-                   options={"xatol": 1e-11, "fatol": 1e-13 * scale, "maxiter": 4000})
+    tight = {"xatol": 1e-11, "fatol": 1e-13 * scale, "maxiter": 4000}
+    res = minimize(neg, best_ab, method="Nelder-Mead", options=tight)
+    # the coarse starts only rank candidates; the returned angles come from here
+    if not res.success:
+        warnings.warn(f"angle refinement did not converge after {res.nfev} FI "
+                      f"evaluations (maxiter={tight['maxiter']})", RuntimeWarning,
+                      stacklevel=2)
     if -res.fun > best_val:
         best_val = -res.fun
         best_ab = res.x
@@ -406,21 +417,24 @@ def fi_monte_carlo(m: MeasurementMoments, sample_count, seed):
     if sample_count < 10_000:
         raise ValueError("sample_count must be at least 10000")
     try:
-        c = cho_factor(m.sigma_m, lower=True, check_finite=False)
-    except LinAlgError as exc:
+        c = np.linalg.cholesky(m.sigma_m)
+    except np.linalg.LinAlgError as exc:
         raise ValueError("sigma_M is not positive definite") from exc
+
+    def solve(b):
+        return np.linalg.solve(c.T, np.linalg.solve(c, b))
 
     rng = np.random.default_rng(seed)
     xs = rng.multivariate_normal(m.omega, m.sigma_m, size=sample_count,
                                  method="cholesky")
-    z = cho_solve(c, (xs - m.omega).T, check_finite=False).T
+    z = solve((xs - m.omega).T).T
 
     scores = np.zeros(sample_count)
     if np.any(m.d_omega):
         scores += z @ m.d_omega
     if np.any(m.d_sigma):
         scores += 0.5 * np.einsum("ni,ij,nj->n", z, m.d_sigma, z)
-        scores -= 0.5 * float(np.trace(cho_solve(c, m.d_sigma, check_finite=False)))
+        scores -= 0.5 * float(np.trace(solve(m.d_sigma)))
 
     sq = scores**2
     estimate = float(np.mean(sq))

@@ -4,7 +4,8 @@ Two sensing modalities are covered. Phase sensing rotates each mode by
 f_j * phi; its QFI has a closed form in the adjacency matrix and an
 independent generic form on the covariance S alone: purity gives
 S^-1 = -4 Omega S Omega, so F = 2 d^T (S o S) d - |f|^2 with d = (f, f)
-needs no inverse.
+needs no inverse; it is summed as 2 d^T (E o E) d + 2 sum_a d_a^2 E_aa with
+E = S - I/2, free of the O(1) cancellation as r -> 0.
 Displacement sensing shifts the state along a quadrature combination with
 coefficients f (length 2n); its QFI is the quadratic form 4 f^T cov f,
 with a four-term closed-form expansion for graph states.
@@ -86,11 +87,20 @@ def qfi_phase_generic(state: GaussianState, f) -> float:
     S o S is the elementwise square of the covariance and d = (f, f). This is
     Tr(G^2 - G S^-1 G S)/2 (G = phase_generator(f)) with S^-1 = -4 Omega S Omega,
     which holds only for pure states such as those of graph_state_covariance.
+    It is evaluated in the form E = S - I/2 (diagonal: state.excess_diag, e),
+
+        F = 2 d^T (E o E) d + 2 sum_a d_a^2 e_a,
+
+    where the |f|^2 term cancels exactly: as r -> 0 the result loses about
+    eps/r in relative terms instead of eps/r^2.
     Cross-checked against qfi_phase_closed_form by the oracle suite.
     """
     f = _check_f(f, state.n)
     d = np.concatenate((f, f))
-    return 2.0 * float(d @ (np.square(state.cov) @ d)) - float(f @ f)
+    e = state.excess_diag
+    sq = np.square(state.cov)
+    np.fill_diagonal(sq, np.square(e))
+    return 2.0 * float(d @ (sq @ d)) + 2.0 * float(np.square(d) @ e)
 
 
 def qfi_displacement(state: GaussianState, f) -> float:

@@ -85,6 +85,13 @@ def test_qfi_phase_dense_graph_cross_check(capsys, m, r):
     assert json.loads(out)["rel_difference"] <= 1e-12
 
 
+def test_qfi_phase_small_r_cross_check(capsys):
+    # the covariance route once cancelled as r -> 0 on graphs with few edges
+    code, out, _ = run_cli(capsys, "qfi", "phase", "--empty", "3", "--r", "1e-5")
+    assert code == 0
+    assert json.loads(out)["rel_difference"] <= 1e-9
+
+
 def test_qfi_displacement_empty(capsys):
     code, out, _ = run_cli(capsys, "qfi", "displacement", "--empty", "4", "--r", "0")
     assert code == 0

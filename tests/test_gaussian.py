@@ -1,5 +1,7 @@
 """Covariance construction, purity, and the photon-budget inversion."""
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from cvgraphsense.gaussian import (
     squeeze_for_photon_budget,
 )
 from cvgraphsense.graph import (Graph, empty_graph, multipartite_graph,
-                                rectangular_graph, star_graph)
+                                rectangular_graph, star_graph, trace_power)
 
 
 def _random_graph(rng, n):
@@ -175,3 +177,44 @@ def test_budget_monotone():
     g = star_graph(4)
     rs = [squeeze_for_photon_budget(g, t) for t in (2.0, 5.0, 20.0, 100.0)]
     assert all(r1 < r2 for r1, r2 in zip(rs, rs[1:]))
+
+
+def _decimal_budget_root(n, t2, target, r0):
+    """50-digit root of n sinh^2 r + e^{2r} t2/4 = target by Newton from r0."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        n, t2, target = Decimal(n), Decimal(t2), Decimal(target)
+        r = Decimal(r0)
+        for _ in range(100):
+            e = r.exp()
+            sinh, cosh = (e - 1 / e) / 2, (e + 1 / e) / 2
+            value = n * sinh * sinh + e * e * t2 / 4 - target
+            step = value / (2 * n * sinh * cosh + e * e * t2 / 2)
+            r -= step
+            if abs(step) <= Decimal("1e-45") * r:
+                break
+        e = r.exp()
+        residual = n * ((e - 1 / e) / 2) ** 2 + e * e * t2 / 4 - target
+        assert abs(residual) <= Decimal("1e-40") * target
+        return r
+
+
+@pytest.mark.parametrize("g", [star_graph(2), star_graph(5), star_graph(64),
+                               star_graph(2048), empty_graph(1), empty_graph(3),
+                               empty_graph(100), multipartite_graph(3, 5),
+                               multipartite_graph(4, 512), rectangular_graph(10),
+                               rectangular_graph(32)], ids=lambda g: g.label)
+def test_budget_root_matches_50_digit_root(g):
+    lo = mean_photon_number(g, 0.0)
+    hi = mean_photon_number(g, R_CAP)
+    if lo > 0:
+        near = [lo * (1.0 + k) for k in (2e-10, 1e-9, 1e-7, 1e-4, 1e-2)]
+    else:
+        near = [1e-14, 1e-10, 1e-6, 1e-3]
+    targets = near + list(np.geomspace(near[-1], min(1e14, 0.999 * hi), 12)[1:])
+    worst = 0.0
+    for target in targets:
+        r = squeeze_for_photon_budget(g, target)
+        ref = _decimal_budget_root(g.n, trace_power(g, 2), target, r)
+        worst = max(worst, float(abs(Decimal(r) - ref) / ref))
+    assert worst <= 1e-15

@@ -1,10 +1,18 @@
 """Homodyne moment construction, Fisher information, angle optimization."""
 
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+import warnings
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from cvgraphsense import homodyne
 from cvgraphsense.graph import Graph, empty_graph, star_graph
 from cvgraphsense.homodyne import (
     HomodyneSetting,
@@ -433,3 +441,77 @@ def test_monte_carlo_reproducible():
     a = fi_monte_carlo(m, 20_000, seed=5)
     b = fi_monte_carlo(m, 20_000, seed=5)
     assert a == b
+
+
+@pytest.mark.parametrize("modality", ["phase", "displacement"])
+def test_monte_carlo_matches_cho_solve_reference(modality):
+    # the score evaluated with scipy's Cholesky solver, on the same draws
+    from scipy.linalg import cho_factor, cho_solve
+
+    g = star_graph(4)
+    f = np.ones(4) if modality == "phase" else np.linspace(0.5, 1.2, 8)
+    moments = (phase_measurement_moments if modality == "phase"
+               else displacement_measurement_moments)
+    m = moments(g, 1.0, f, 0.2, HomodyneSetting([1.2, 0.4, 0.4, 0.4]))
+    samples = 20_000
+    c = cho_factor(m.sigma_m, lower=True)
+    xs = np.random.default_rng(7).multivariate_normal(m.omega, m.sigma_m, size=samples,
+                                                      method="cholesky")
+    z = cho_solve(c, (xs - m.omega).T).T
+    scores = (z @ m.d_omega + 0.5 * np.einsum("ni,ij,nj->n", z, m.d_sigma, z)
+              - 0.5 * np.trace(cho_solve(c, m.d_sigma)))
+    sq = scores**2
+    est, se = fi_monte_carlo(m, samples, seed=7)
+    assert est == pytest.approx(np.mean(sq), rel=1e-12)
+    assert se == pytest.approx(np.std(sq, ddof=1) / np.sqrt(samples), rel=1e-12)
+
+
+# --- optimizer convergence ----------------------------------------------------
+
+
+def test_optimize_converged_emits_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        optimize_angles(star_graph(4), 1.0, np.ones(4), 0.0, "phase")
+
+
+def test_optimize_warns_when_refinement_does_not_converge(monkeypatch):
+    calls = []
+
+    def stalled(fun, x0, method, options):
+        calls.append(options["maxiter"])
+        return SimpleNamespace(x=np.asarray(x0, dtype=float), fun=fun(x0),
+                               success=False, nfev=123)
+
+    monkeypatch.setattr(homodyne, "minimize", stalled)
+    with pytest.warns(RuntimeWarning, match=r"after 123 FI evaluations \(maxiter=4000\)") as rec:
+        optimize_angles(star_graph(4), 1.0, np.ones(4), 0.0, "phase")
+    # coarse starts only rank candidates: one warning, for the final refinement
+    assert len(rec) == 1
+    assert calls[-1] == 4000 and calls.count(600) == len(calls) - 1
+
+
+# --- import path --------------------------------------------------------------
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(homodyne.__file__).resolve().parents[1])
+    script = (
+        "import json, sys\n"
+        "import cvgraphsense, cvgraphsense.cli\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+        "cvgraphsense.cli.main(['fi', 'phase', '--star', '4', '--r', '1', '--optimize'])\n"
+        "assert 'scipy.optimize' in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    payload = json.loads(proc.stdout)
+    # the optimizer's result is unchanged by importing scipy lazily
+    assert payload["value"] == 491.4313730005492
+    assert payload["alpha"] == 1.5710872718403674
+    assert payload["beta"] == 0.13456381404550213
