@@ -17,7 +17,7 @@ from .homodyne import (HomodyneSetting, MeasurementMoments,
                        diag_trig_matrices, displacement_measurement_moments,
                        fi_monte_carlo, fi_star_ansatz,
                        gaussian_fisher_information, optimize_angles,
-                       phase_measurement_moments)
+                       phase_measurement_moments, saturate_displacement)
 from .oracle import (EquivalenceReport, central_difference,
                      run_displacement_equivalence, run_fi_derivative_check,
                      run_phase_equivalence, run_photon_identity)
@@ -42,6 +42,6 @@ __all__ = [
     "qfi_phase_equal_f", "qfi_phase_generic", "qfi_phase_separable_asymptote",
     "qfi_phase_star_asymptote", "rectangular_graph",
     "run_displacement_equivalence", "run_fi_derivative_check",
-    "run_phase_equivalence", "run_photon_identity", "squeeze_for_photon_budget",
-    "star_graph", "trace_power",
+    "run_phase_equivalence", "run_photon_identity", "saturate_displacement",
+    "squeeze_for_photon_budget", "star_graph", "trace_power",
 ]

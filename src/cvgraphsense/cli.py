@@ -2,16 +2,18 @@
 
 Subcommands: graph-info (trace ratios of a graph), qfi (quantum Fisher
 information with a built-in cross-check), fi (homodyne Fisher information,
-fixed angles or optimized), figure (scaling/saturation sweep tables as CSV),
-and verify (randomized equivalence suites). Every subcommand accepts
---save-manifest to record the run; `cvgraphsense --manifest path` replays a
-recorded run through the identical code path, reproducing byte-identical
-output. Exit codes: 0 success, 1 verification failure, 2 usage error.
+fixed angles or optimized; displacement angles in closed form), figure
+(scaling/saturation sweep tables as CSV), and verify (randomized equivalence
+suites). Every subcommand accepts --save-manifest to record the run;
+`cvgraphsense --manifest path` replays a recorded run through the identical
+code path, reproducing byte-identical output. Exit codes: 0 success,
+1 verification failure, 2 usage error.
 """
 
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass
 
@@ -24,7 +26,7 @@ from .graph import (EdgelessGraphError, adjacency_square_sum, chi_disp,
                     chi_phase, empty_graph, load_edge_list,
                     multipartite_graph, rectangular_graph, star_graph,
                     trace_power)
-from .homodyne import fi_star_ansatz, optimize_angles
+from .homodyne import fi_star_ansatz, optimize_angles, saturate_displacement
 from .qfi import qfi, qfi_displacement, qfi_phase_generic
 
 CROSS_CHECK_TOL = 1e-9
@@ -84,7 +86,15 @@ def write_csv(columns, rows, stream):
 
 
 def _emit(payload, params, stream):
-    """Print a mapping as JSON (default) or a one-row CSV table."""
+    """Print a mapping as JSON (default) or a one-row CSV table.
+
+    A non-finite number (an overflow of the inputs) is a usage error, in
+    either format, rather than output.
+    """
+    for key, value in payload.items():
+        if not isinstance(value, str) and not np.all(np.isfinite(value)):
+            raise ValueError(f"{key} is not finite ({_fmt(value)}); the inputs overflow "
+                             "double precision")
     if params.get("csv"):
         write_csv(list(payload.keys()), [payload], stream)
     else:
@@ -188,8 +198,12 @@ def run_fi(params, stream):
     phi = _finite(params.get("phi", 0.0), "--phi")
     length = g.n if modality == "phase" else 2 * g.n
     f = parse_f(params.get("f", "1"), length)
-    if params.get("optimize"):
-        alpha, beta, fi = optimize_angles(g, r, f, phi, modality)
+    theta = None
+    if params.get("optimize") and modality == "displacement":
+        theta, fi = saturate_displacement(g, r, f)
+        alpha, beta = float(theta[0]), float(theta[min(1, g.n - 1)])
+    elif params.get("optimize"):
+        alpha, beta, fi = optimize_angles(g, r, f, phi)
     else:
         alpha = _finite(params["alpha"], "--alpha")
         beta = _finite(params["beta"], "--beta")
@@ -201,6 +215,8 @@ def run_fi(params, stream):
     payload = report.to_dict()
     payload["qfi"] = q
     payload["ratio"] = fi / q
+    if theta is not None:
+        payload["theta"] = theta.tolist()
     _emit(payload, params, stream)
     return 0
 
@@ -295,7 +311,10 @@ def build_parser():
     qf.add_argument("--f", default="1")
     qf.add_argument("--csv", action="store_true")
 
-    fi = subs.add_parser("fi", help="homodyne Fisher information on a star graph")
+    fi = subs.add_parser(
+        "fi", help="homodyne Fisher information: two star angles (alpha on the hub, "
+                   "beta on the leaves), or --optimize; displacement --optimize "
+                   "takes any graph and prints per-mode angles as theta")
     fi.add_argument("modality", choices=("phase", "displacement"))
     _add_graph_args(fi)
     rgrp = fi.add_mutually_exclusive_group(required=True)
@@ -334,6 +353,9 @@ def _manifest_from_args(args):
         if isinstance(val, tuple):
             val = list(val)
         params[key] = val
+    if params.get("edges") is not None:
+        # a replay from another working directory must find the same file
+        params["edges"] = os.path.abspath(params["edges"])
     seed = int(getattr(args, "seed", 0) or 0)
     output = getattr(args, "output", "") or ""
     return RunManifest(command=args.command, parameters=params,
@@ -349,6 +371,24 @@ def _validate_fi_angles(args, parser):
     if not args.optimize:
         if args.alpha is None or args.beta is None:
             parser.error("provide both --alpha and --beta, or --optimize")
+
+
+def _run(command, params):
+    """Run one command; bad input, a missing file, overflow or exhausted memory exits 2.
+
+    numpy's floating-point warnings are silenced: a non-finite result is
+    reported by `_emit` in one line instead.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            return RUNNERS[command](params, sys.stdout)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    except OverflowError as exc:
+        print(f"error: the inputs overflow double precision: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+    return 2
 
 
 def main(argv=None):
@@ -369,13 +409,11 @@ def main(argv=None):
             print(f"error: unknown manifest command {manifest.command!r}", file=sys.stderr)
             return 2
         try:
-            return RUNNERS[manifest.command](dict(manifest.parameters), sys.stdout)
+            return _run(manifest.command, dict(manifest.parameters))
         except KeyError as exc:
             print(f"error: manifest lacks parameter {exc}", file=sys.stderr)
         except TypeError as exc:
             print(f"error: invalid manifest parameter: {exc}", file=sys.stderr)
-        except (ValueError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
         return 2
 
     if not args.command:
@@ -387,11 +425,7 @@ def main(argv=None):
         with open(args.save_manifest, "w", encoding="utf-8") as fh:
             json.dump(manifest.to_dict(), fh, indent=2)
             fh.write("\n")
-    try:
-        return RUNNERS[args.command](dict(manifest.parameters), sys.stdout)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return _run(args.command, dict(manifest.parameters))
 
 
 def entry_point():

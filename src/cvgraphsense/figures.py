@@ -10,7 +10,7 @@ import numpy as np
 
 from .gaussian import squeeze_for_photon_budget
 from .graph import empty_graph, star_graph
-from .homodyne import optimize_angles
+from .homodyne import optimize_angles, saturate_displacement
 from .qfi import qfi
 
 FIG2_COLUMNS = ("n", "N_bar", "qfi_star", "qfi_separable", "ratio")
@@ -67,14 +67,22 @@ def scaling_rows(modality, n_fixed=10, nbar_grid=NBAR_GRID,
 
 
 def saturation_rows(modality, r_values=(1.0, 3.0), n_values=range(2, 9), phi=0.0):
-    """Rows of the homodyne-saturation table (fig3/fig5 layout)."""
+    """Rows of the homodyne-saturation table (fig3/fig5 layout).
+
+    Phase angles come from the two-angle optimizer; displacement angles from
+    the closed-form rule, which puts one angle on all leaves of a star.
+    """
     rows = []
     for r in r_values:
         for n in n_values:
             g = star_graph(int(n))
             f = np.ones(g.n if modality == "phase" else 2 * g.n)
             q = qfi(g, r, f, modality)
-            alpha, beta, fi = optimize_angles(g, r, f, phi, modality)
+            if modality == "phase":
+                alpha, beta, fi = optimize_angles(g, r, f, phi)
+            else:
+                theta, fi = saturate_displacement(g, r, f)
+                alpha, beta = float(theta[0]), float(theta[1])
             rows.append({"n": int(n), "r": float(r), "qfi": q, "fi_opt": fi,
                          "alpha": alpha, "beta": beta, "ratio": fi / q})
     return rows

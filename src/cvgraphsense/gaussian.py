@@ -24,11 +24,10 @@ R_CAP = 10.0
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Zero-mean Gaussian state: mode count, mean vector, covariance, squeeze,
-    and the diagonal of cov - I/2 computed without cancellation at small r."""
+    """Zero-mean Gaussian state: mode count, covariance, squeeze, and the
+    diagonal of cov - I/2 computed without cancellation at small r."""
 
     n: int
-    mean: np.ndarray
     cov: np.ndarray
     r: float
     excess_diag: np.ndarray
@@ -54,7 +53,7 @@ def graph_state_covariance(g: Graph, r) -> GaussianState:
     excess = np.empty(2 * n)
     excess[:n] = 0.5 * np.expm1(2.0 * r)
     excess[n:] = 0.5 * (np.expm1(-2.0 * r) + x * g.degrees())
-    return GaussianState(n=n, mean=np.zeros(2 * n), cov=cov, r=r, excess_diag=excess)
+    return GaussianState(n=n, cov=cov, r=r, excess_diag=excess)
 
 
 def mean_photon_number(g: Graph, r) -> float:

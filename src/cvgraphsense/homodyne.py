@@ -9,8 +9,10 @@ covariance sigma_M,
 
 For phase sensing omega vanishes identically and sigma_M carries all the
 information; for displacement sensing sigma_M is parameter-independent and
-the mean carries it all. The local-oscillator angles are optimized under the
-star-graph ansatz theta = (alpha, beta, beta, ...).
+the mean carries it all. Displacement sensing has closed-form per-mode angles
+that reach the QFI on every graph (`saturate_displacement`); phase-sensing
+angles are optimized numerically under the star-graph ansatz
+theta = (alpha, beta, beta, ...).
 """
 
 import math
@@ -49,12 +51,17 @@ class HomodyneSetting:
 
 @dataclass(frozen=True)
 class MeasurementMoments:
-    """Outcome mean/covariance and their parameter derivatives."""
+    """Outcome mean/covariance and their parameter derivatives.
+
+    sigma_root, when given, is a matrix with sigma_m = sigma_root^T sigma_root
+    that the FI factors instead of sigma_m itself.
+    """
 
     omega: np.ndarray
     sigma_m: np.ndarray
     d_omega: np.ndarray
     d_sigma: np.ndarray
+    sigma_root: np.ndarray | None = None
 
 
 def diag_trig_matrices(f, phi, theta):
@@ -83,12 +90,14 @@ def _moments(g: Graph, r, f, phi, theta, modality):
     With x = e^{2r}, p = sin(psi), q = cos(psi), psi = theta - f phi for
     phase sensing and psi = theta for displacement sensing,
 
-        sigma_M = x L L^T / 2 + diag(q)^2 / (2x),   L = diag(p) + diag(q) A.
+        sigma_M = x L L^T / 2 + diag(q)^2 / (2x) = B B^T,
+        L = diag(p) + diag(q) A,   B = [sqrt(x/2) L, diag(q) / sqrt(2x)].
 
-    Returns (sigma_M, d sigma_M, d omega) stacked over the k rows. Under phase
-    sensing omega vanishes and d sigma_M follows from the product rule with
-    dp = -f q, dq = f p (d omega is None); under displacement sensing sigma_M
-    does not depend on phi (d sigma_M is None) and d omega = p f_p - q f_q.
+    Returns (sigma_M, B^T, d sigma_M, d omega) stacked over the k rows; B^T is
+    the square root that `_fisher` factors. Under phase sensing omega vanishes
+    and d sigma_M follows from the product rule with dp = -f q, dq = f p
+    (d omega is None); under displacement sensing sigma_M does not depend on
+    phi (d sigma_M is None) and d omega = p f_p - q f_q.
     """
     n = g.n
     x = math.exp(2.0 * r)
@@ -100,13 +109,16 @@ def _moments(g: Graph, r, f, phi, theta, modality):
     idx = np.arange(n)
     sigma = 0.5 * x * (lmat @ lmat.swapaxes(1, 2))
     sigma[:, idx, idx] += 0.5 * q * q / x
+    root = np.zeros((theta.shape[0], 2 * n, n))
+    root[:, :n] = math.sqrt(0.5 * x) * lmat.swapaxes(1, 2)
+    root[:, n + idx, idx] = q / math.sqrt(2.0 * x)
     if modality != "phase":
-        return sigma, None, p * f[n:] - q * f[:n]
+        return sigma, root, None, p * f[n:] - q * f[:n]
     dp, dq = -f * q, f * p
     k = (dp[:, :, None] * eye + dq[:, :, None] * a) @ lmat.swapaxes(1, 2)
     d_sigma = 0.5 * x * (k + k.swapaxes(1, 2))
     d_sigma[:, idx, idx] += q * dq / x
-    return sigma, d_sigma, None
+    return sigma, root, d_sigma, None
 
 
 def _check_moments_query(g: Graph, r, f, setting, length):
@@ -127,9 +139,10 @@ def phase_measurement_moments(g: Graph, r, f, phi, setting: HomodyneSetting) -> 
     on the angles only through theta - f phi.
     """
     r, f, theta = _check_moments_query(g, r, f, setting, g.n)
-    sigma, d_sigma, _ = _moments(g, r, f, float(phi), theta, "phase")
+    sigma, root, d_sigma, _ = _moments(g, r, f, float(phi), theta, "phase")
     return MeasurementMoments(omega=np.zeros(g.n), sigma_m=sigma[0],
-                              d_omega=np.zeros(g.n), d_sigma=d_sigma[0])
+                              d_omega=np.zeros(g.n), d_sigma=d_sigma[0],
+                              sigma_root=root[0])
 
 
 def displacement_measurement_moments(g: Graph, r, f, phi, setting: HomodyneSetting) -> MeasurementMoments:
@@ -139,46 +152,56 @@ def displacement_measurement_moments(g: Graph, r, f, phi, setting: HomodyneSetti
     phi-independent covariance of the measured quadratures, so d_sigma = 0.
     """
     r, f, theta = _check_moments_query(g, r, f, setting, 2 * g.n)
-    sigma, _, d_omega = _moments(g, r, f, float(phi), theta, "displacement")
+    sigma, root, _, d_omega = _moments(g, r, f, float(phi), theta, "displacement")
     return MeasurementMoments(omega=float(phi) * d_omega[0], sigma_m=sigma[0],
-                              d_omega=d_omega[0], d_sigma=np.zeros((g.n, g.n)))
+                              d_omega=d_omega[0], d_sigma=np.zeros((g.n, g.n)),
+                              sigma_root=root[0])
 
 
-def _fisher(sigma, d_sigma=None, d_omega=None):
+def _fisher(root, d_sigma=None, d_omega=None):
     """Gaussian FI of k stacked outcome models; a derivative given as None is zero.
 
-    With sigma_M = C C^T (Cholesky), I = |C^-1 d sigma_M C^-T|_F^2 / 2 +
+    sigma_M = root^T root. With C = R^T from the QR factorization of root,
+    sigma_M = C C^T without the squared condition number of a Cholesky
+    factorization of sigma_M, and I = |C^-1 d sigma_M C^-T|_F^2 / 2 +
     |C^-1 d omega|^2: the trace form as a sum of squares.
     """
+    c = np.linalg.qr(root, mode="r").swapaxes(1, 2)
+    fi = np.zeros(c.shape[0])
     try:
-        c = np.linalg.cholesky(sigma)
+        if d_sigma is not None:
+            w = np.linalg.solve(c, d_sigma)
+            w = np.linalg.solve(c, w.swapaxes(1, 2))
+            fi += 0.5 * np.einsum("kij,kij->k", w, w)
+        if d_omega is not None:
+            z = np.linalg.solve(c, d_omega[:, :, None])
+            fi += np.einsum("kij,kij->k", z, z)
     except np.linalg.LinAlgError as exc:
-        raise ValueError("sigma_M is not positive definite; perturb the angles") from exc
-    fi = np.zeros(sigma.shape[0])
-    if d_sigma is not None:
-        w = np.linalg.solve(c, d_sigma)
-        w = np.linalg.solve(c, w.swapaxes(1, 2))
-        fi += 0.5 * np.einsum("kij,kij->k", w, w)
-    if d_omega is not None:
-        z = np.linalg.solve(c, d_omega[:, :, None])
-        fi += np.einsum("kij,kij->k", z, z)
+        raise ValueError("sigma_M is singular; perturb the angles") from exc
     return fi
 
 
 def gaussian_fisher_information(m: MeasurementMoments) -> float:
     """Fisher information of a Gaussian outcome model from its moments."""
+    root = m.sigma_root
+    if root is None:
+        try:
+            root = np.linalg.cholesky(m.sigma_m).T
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("sigma_M is not positive definite; perturb the angles") from exc
     d_sigma = m.d_sigma[None] if np.any(m.d_sigma) else None
     d_omega = m.d_omega[None] if np.any(m.d_omega) else None
-    return float(_fisher(m.sigma_m[None], d_sigma, d_omega)[0])
+    return float(_fisher(root[None], d_sigma, d_omega)[0])
+
+
+def _is_star(g: Graph):
+    """True for a star with hub at vertex 1; a lone mode is a star without leaves."""
+    a = g.adjacency
+    return bool(np.all(a[0, 1:] == 1) and not np.any(a[1:, 1:]))
 
 
 def _require_star(g: Graph):
-    a = g.adjacency
-    if g.n == 1 and a[0, 0] == 0:
-        return  # single mode: trivially a star with no leaves
-    hub_ok = np.all(a[0, 1:] == 1) and np.all(a[1:, 0] == 1)
-    leaves_ok = not np.any(a[1:, 1:])
-    if not (hub_ok and leaves_ok):
+    if not _is_star(g):
         raise ValueError("angle ansatz requires a star graph with hub at vertex 1")
 
 
@@ -287,7 +310,7 @@ def _dense_fi_function(g: Graph, r, f, phi, modality):
         theta = np.empty((alphas.size, n))
         theta[:, 0] = alphas
         theta[:, 1:] = betas[:, None]
-        return _fisher(*_moments(g, r, f, phi, theta, modality))
+        return _fisher(*_moments(g, r, f, phi, theta, modality)[1:])
 
     def fi(alpha, beta):
         if not isinstance(alpha, np.ndarray):
@@ -312,8 +335,49 @@ def fi_star_ansatz(g: Graph, r, f, phi, alpha, beta, modality) -> float:
     return float(fi(float(alpha), float(beta)))
 
 
-def optimize_angles(g: Graph, r, f, phi, modality):
-    """Maximize the two-angle star FI; returns (alpha, beta, fi_value).
+def saturate_displacement(g: Graph, r, f):
+    """Per-mode homodyne angles that reach the displacement QFI on any graph.
+
+    Returns (theta, fi): one angle per mode in [0, pi) and the FI there.
+
+    The mean derivative is delta = (f_p, -f_q) in (q, p) order and the QFI is
+    delta^T S^-1 delta. Measuring mode j at theta_j = atan2(v_qj, v_pj) with
+    v = S^-1 delta makes the measured quadratures span v, so the homodyne FI
+    equals the QFI. Purity gives S^-1 = -4 Omega S Omega, so v = 4 Omega S f
+    with f = (f_q, f_p), and S f = (x/2) (u, w) for x = e^{2r},
+
+        u = f_q + A f_p,   w = A u + e^{-4r} f_p,
+
+    hence theta = atan2(w, -u) mod pi from two products with A; neither the
+    covariance nor A^2 is formed. A mode with u_j = w_j = 0 carries no signal
+    and gets theta_j = 0.
+
+    The FI is evaluated at theta, not taken from the QFI: through
+    `fi_star_ansatz` on a star whose leaves share one angle (the O(1) sector
+    when the leaves share one responsivity), otherwise through the dense
+    moments.
+    """
+    r = _check_r(r)
+    n = g.n
+    f = np.asarray(f, dtype=float)
+    if f.shape != (2 * n,):
+        raise ValueError(f"f must have length {2 * n}")
+    if not np.all(np.isfinite(f)):
+        raise ValueError("f must be finite")
+    fq, fp = f[:n], f[n:]
+    u = fq + g.adjacency @ fp
+    w = g.adjacency @ u + math.exp(-4.0 * r) * fp
+    theta = np.mod(np.arctan2(w, -u), np.pi)
+    theta[theta == np.pi] = 0.0  # a tiny negative angle rounds up to pi
+    if _is_star(g) and np.all(theta[1:] == theta[1:2]):
+        fi = fi_star_ansatz(g, r, f, 0.0, theta[0], theta[min(1, n - 1)], "displacement")
+    else:
+        fi = float(_fisher(*_moments(g, r, f, 0.0, theta[None], "displacement")[1:])[0])
+    return theta, fi
+
+
+def optimize_angles(g: Graph, r, f, phi):
+    """Maximize the two-angle star FI of phase sensing; returns (alpha, beta, fi_value).
 
     Deterministic: a 64x64 grid over [0, 2*pi)^2 locates the broad basins,
     augmented by a fixed set of squeezing-aware starts near the quadrature
@@ -323,10 +387,10 @@ def optimize_angles(g: Graph, r, f, phi, modality):
     from the leaders and once more, tightly, from the winner, with FI
     tolerances relative to the best candidate's value.
     """
-    r, f = _check_ansatz(g, r, f, modality)
+    r, f = _check_ansatz(g, r, f, "phase")
     phi = float(phi)
-    fi = (_sector_fi_function(g.n, r, f, phi, modality)
-          or _dense_fi_function(g, r, f, phi, modality))
+    fi = (_sector_fi_function(g.n, r, f, phi, "phase")
+          or _dense_fi_function(g, r, f, phi, "phase"))
 
     grid = np.linspace(0.0, TWO_PI, 64, endpoint=False)
     aa, bb = np.meshgrid(grid, grid, indexing="ij")
@@ -346,14 +410,11 @@ def optimize_angles(g: Graph, r, f, phi, modality):
         if len(cand) >= 6:
             break
 
-    # quadrature-axis starts, offset by the squeezing scale; under phase
-    # sensing the landscape is a rigid shift by f*phi of the phi=0 landscape
+    # quadrature-axis starts, offset by the squeezing scale; the landscape is
+    # a rigid shift by f*phi of the phi=0 landscape
     eps = np.exp(-2.0 * abs(r))
-    if modality == "phase":
-        shift_a = float(f[0]) * float(phi)
-        shift_b = float(np.mean(f[1:])) * float(phi) if g.n > 1 else shift_a
-    else:
-        shift_a = shift_b = 0.0
+    shift_a = float(f[0]) * phi
+    shift_b = float(np.mean(f[1:])) * phi if g.n > 1 else shift_a
     extra = [(a0 + shift_a + da, b0 + shift_b + db)
              for a0 in (0.0, 0.5 * np.pi)
              for b0 in (0.0, 0.5 * np.pi)

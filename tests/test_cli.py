@@ -1,10 +1,15 @@
 """Command-line interface: parsing, payloads, exit codes, manifests."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cvgraphsense import cli
 from cvgraphsense.cli import main, parse_f
 
 
@@ -145,6 +150,55 @@ def test_fi_optimized_displacement(capsys):
     assert payload["value"] == pytest.approx(payload["qfi"] * payload["ratio"])
 
 
+def test_fi_optimized_displacement_any_graph(capsys):
+    code, out, _ = run_cli(capsys, "fi", "displacement", "--multipartite", "3", "2",
+                           "--r", "1", "--optimize")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["ratio"] >= 1 - 1e-9
+    assert len(payload["theta"]) == 6
+    assert (payload["alpha"], payload["beta"]) == tuple(payload["theta"][:2])
+
+
+def test_fi_optimized_displacement_csv_theta(capsys):
+    code, out, _ = run_cli(capsys, "fi", "displacement", "--star", "3", "--r", "1",
+                           "--optimize", "--csv")
+    assert code == 0
+    header, row = out.strip().splitlines()
+    theta = dict(zip(header.split(","), row.split(",")))["theta"].split(";")
+    assert len(theta) == 3 and theta[1] == theta[2]
+
+
+@pytest.mark.parametrize("modality, angles", [
+    ("phase", ("--optimize",)),
+    ("displacement", ("--alpha", "0.3", "--beta", "1")),
+])
+def test_fi_star_ansatz_still_requires_star(capsys, modality, angles):
+    code, out, err = run_cli(capsys, "fi", modality, "--multipartite", "3", "2",
+                             "--r", "1", *angles)
+    assert code == 2
+    assert out == ""
+    assert err == "error: angle ansatz requires a star graph with hub at vertex 1\n"
+
+
+def test_fi_optimize_displacement_loads_no_scipy():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    script = (
+        "import sys\n"
+        "import cvgraphsense.cli\n"
+        "code = cvgraphsense.cli.main(['fi', 'displacement', '--star', '4', '--r', '1',"
+        " '--optimize'])\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert code == 0 and not loaded, (code, loaded)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["ratio"] >= 1 - 1e-9
+
+
 def test_fi_fixed_angles_bounded_by_qfi(capsys):
     code, out, _ = run_cli(capsys, "fi", "phase", "--star", "3", "--r", "1",
                            "--alpha", "1.2", "--beta", "0.4")
@@ -165,6 +219,26 @@ def test_fi_rejects_non_finite_angles(capsys, angles):
     assert code == 2
     assert out == ""
     assert err.startswith("error: --") and "must be finite" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", [(), ("--csv",)])
+def test_overflowing_result_is_usage_error(capsys, fmt):
+    # f_j^2 overflows: the QFI is nan, which neither format may print
+    code, out, err = run_cli(capsys, "qfi", "phase", "--star", "2", "--r", "0",
+                             "--f", "1e308", *fmt)
+    assert code == 2
+    assert out == ""
+    assert err == "error: value is not finite (nan); the inputs overflow double precision\n"
+
+
+def test_overflow_in_optimizer_is_usage_error(capsys):
+    # the float sector FI overflows inside the optimizer, before any output
+    code, out, err = run_cli(capsys, "fi", "phase", "--star", "8", "--r", "1",
+                             "--f", "1e308", "--optimize")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: the inputs overflow double precision")
     assert err.count("\n") == 1
 
 
@@ -250,6 +324,22 @@ def test_manifest_figure_replay_identical(tmp_path, capsys):
     assert out_path.read_bytes() == first
 
 
+def test_manifest_edges_replay_from_other_directory(tmp_path, monkeypatch, capsys):
+    (tmp_path / "g.edges").write_text("3\n1 2\n1 3\n")
+    monkeypatch.chdir(tmp_path)
+    code, first, _ = run_cli(capsys, "qfi", "displacement", "--edges", "g.edges",
+                             "--r", "1", "--save-manifest", "run.json")
+    assert code == 0
+    saved = json.loads((tmp_path / "run.json").read_text())
+    assert saved["parameters"]["edges"] == str(tmp_path / "g.edges")
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    code, replay, _ = run_cli(capsys, "--manifest", str(tmp_path / "run.json"))
+    assert code == 0
+    assert replay == first
+
+
 def test_manifest_missing_file(capsys):
     code, _, err = run_cli(capsys, "--manifest", "/nonexistent/m.json")
     assert code == 2
@@ -291,3 +381,15 @@ def test_command_required(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_out_of_memory_is_usage_error(monkeypatch, capsys):
+    # stands in for a graph too large to allocate, e.g. --star 10000000
+    def exhausted(n):
+        raise MemoryError(f"Unable to allocate {n}x{n} adjacency")
+
+    monkeypatch.setattr(cli, "star_graph", exhausted)
+    code, out, err = run_cli(capsys, "qfi", "phase", "--star", "10000000", "--r", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: out of memory: Unable to allocate 10000000x10000000 adjacency\n"

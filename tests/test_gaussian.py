@@ -24,7 +24,6 @@ def _random_graph(rng, n):
 def test_vacuum_covariance():
     state = graph_state_covariance(empty_graph(3), 0.0)
     np.testing.assert_allclose(state.cov, 0.5 * np.eye(6), atol=1e-15)
-    np.testing.assert_array_equal(state.mean, np.zeros(6))
 
 
 def test_single_mode_squeezed():

@@ -24,6 +24,7 @@ from cvgraphsense.homodyne import (
     gaussian_fisher_information,
     optimize_angles,
     phase_measurement_moments,
+    saturate_displacement,
 )
 from cvgraphsense.qfi import qfi
 
@@ -259,7 +260,7 @@ def test_optimize_single_mode_displacement():
     g = empty_graph(1)
     r = 0.7
     f = np.array([0.0, 1.0])
-    alpha, _, fi = optimize_angles(g, r, f, 0.0, "displacement")
+    (alpha,), fi = saturate_displacement(g, r, f)
     assert fi == pytest.approx(2 * np.exp(-2 * r), rel=1e-9)
     assert min(abs(alpha - np.pi / 2), abs(alpha - 3 * np.pi / 2)) < 1e-4
 
@@ -267,7 +268,7 @@ def test_optimize_single_mode_displacement():
 def test_optimize_phase_star4():
     g = star_graph(4)
     f = np.ones(4)
-    _, _, fi = optimize_angles(g, 1.0, f, 0.0, "phase")
+    _, _, fi = optimize_angles(g, 1.0, f, 0.0)
     q = qfi(g, 1.0, f, "phase")
     assert 1.8 <= q / fi <= 2.2
     assert fi <= q
@@ -277,7 +278,7 @@ def test_optimize_displacement_saturates():
     for n in (2, 4, 6):
         g = star_graph(n)
         f = np.ones(2 * n)
-        _, _, fi = optimize_angles(g, 1.0, f, 0.0, "displacement")
+        _, fi = saturate_displacement(g, 1.0, f)
         q = qfi(g, 1.0, f, "displacement")
         assert fi / q >= 0.99
 
@@ -285,8 +286,8 @@ def test_optimize_displacement_saturates():
 def test_optimize_deterministic():
     g = star_graph(3)
     f = np.ones(3)
-    first = optimize_angles(g, 1.0, f, 0.0, "phase")
-    second = optimize_angles(g, 1.0, f, 0.0, "phase")
+    first = optimize_angles(g, 1.0, f, 0.0)
+    second = optimize_angles(g, 1.0, f, 0.0)
     assert first == second
 
 
@@ -338,7 +339,7 @@ def test_nonuniform_leaves_take_dense_route():
 def test_optimize_nonuniform_leaves():
     g = star_graph(3)
     f = np.array([1.0, 0.4, 0.8])
-    alpha, beta, fi = optimize_angles(g, 0.5, f, 0.2, "phase")
+    alpha, beta, fi = optimize_angles(g, 0.5, f, 0.2)
     assert fi == pytest.approx(_dense_fi(g, 0.5, f, 0.2, alpha, beta, "phase"), rel=1e-9)
     assert 0.0 < fi <= qfi(g, 0.5, f, "phase") * (1 + 1e-9)
 
@@ -350,7 +351,7 @@ def test_optimize_nonuniform_leaves_memory():
     f = np.linspace(0.5, 1.5, g.n)
     tracemalloc.start()
     try:
-        alpha, beta, fi = optimize_angles(g, 1.0, f, 0.3, "phase")
+        alpha, beta, fi = optimize_angles(g, 1.0, f, 0.3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -366,7 +367,11 @@ def test_optimize_large_star_memory(modality):
     f = np.ones(g.n if modality == "phase" else 2 * g.n)
     tracemalloc.start()
     try:
-        alpha, beta, fi = optimize_angles(g, r, f, phi, modality)
+        if modality == "phase":
+            alpha, beta, fi = optimize_angles(g, r, f, phi)
+        else:
+            theta, fi = saturate_displacement(g, r, f)
+            alpha, beta = theta[0], theta[1]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -396,8 +401,73 @@ SATURATION_FI = {
 @pytest.mark.parametrize("modality,n,r", sorted(SATURATION_FI))
 def test_optimize_saturation_values(modality, n, r):
     f = np.ones(n if modality == "phase" else 2 * n)
-    _, _, fi = optimize_angles(star_graph(n), r, f, 0.0, modality)
+    if modality == "phase":
+        _, _, fi = optimize_angles(star_graph(n), r, f, 0.0)
+    else:
+        _, fi = saturate_displacement(star_graph(n), r, f)
     assert fi == pytest.approx(SATURATION_FI[modality, n, r], rel=1e-9)
+
+
+# --- closed-form displacement angles -------------------------------------------
+
+
+def _random_graph(rng, n):
+    a = np.triu((rng.random((n, n)) < rng.random()).astype(int), k=1)
+    return Graph(n, a + a.T)
+
+
+def test_saturate_displacement_certificate():
+    # at the rule's angles the dense FI (no star ansatz) equals the QFI
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        n = int(rng.integers(1, 12))
+        g = _random_graph(rng, n)
+        r = float(rng.uniform(-3.0, 3.0))
+        f = rng.normal(size=2 * n)
+        theta, fi = saturate_displacement(g, r, f)
+        assert theta.shape == (n,)
+        assert np.all((0.0 <= theta) & (theta < np.pi))
+        dense = gaussian_fisher_information(
+            displacement_measurement_moments(g, r, f, 0.0, HomodyneSetting(theta)))
+        q = qfi(g, r, f, "displacement")
+        assert dense == pytest.approx(q, rel=1e-9)
+        assert fi == pytest.approx(q, rel=1e-9)
+
+
+def test_saturate_displacement_zero_signal_mode():
+    # f_q = (0, 0, 1), f_p = 0 on star(3): u = (0, 0, 1) and w = A u = (1, 0, 0),
+    # so leaf 1 sees no signal (u = w = 0) and gets angle 0
+    g = star_graph(3)
+    f = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+    theta, fi = saturate_displacement(g, 1.0, f)
+    np.testing.assert_array_equal(theta, [np.pi / 2, 0.0, 0.0])
+    assert fi == pytest.approx(qfi(g, 1.0, f, "displacement"), rel=1e-12)
+    # on a graph without edges the dense route takes the zero mode
+    g = empty_graph(3)
+    f = np.array([1.0, 0.0, 0.0, 0.5, 0.0, 2.0])
+    theta, fi = saturate_displacement(g, 0.4, f)
+    assert theta[1] == 0.0
+    assert fi == pytest.approx(qfi(g, 0.4, f, "displacement"), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 64])
+def test_saturate_displacement_star_shares_leaf_angle(n):
+    g = star_graph(n)
+    f = np.ones(2 * n)
+    theta, fi = saturate_displacement(g, 1.5, f)
+    assert np.all(theta[1:] == theta[1])
+    assert fi == fi_star_ansatz(g, 1.5, f, 0.0, theta[0], theta[1], "displacement")
+    assert fi == pytest.approx(qfi(g, 1.5, f, "displacement"), rel=1e-12)
+
+
+def test_saturate_displacement_rejects_bad_input():
+    g = star_graph(3)
+    with pytest.raises(ValueError, match="length 6"):
+        saturate_displacement(g, 1.0, np.ones(3))
+    with pytest.raises(ValueError, match="finite"):
+        saturate_displacement(g, 1.0, np.array([1.0, np.nan, 1, 1, 1, 1]))
+    with pytest.raises(ValueError, match="squeeze"):
+        saturate_displacement(g, 11.0, np.ones(6))
 
 
 # --- Monte-Carlo cross-check ------------------------------------------------
@@ -472,7 +542,7 @@ def test_monte_carlo_matches_cho_solve_reference(modality):
 def test_optimize_converged_emits_no_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        optimize_angles(star_graph(4), 1.0, np.ones(4), 0.0, "phase")
+        optimize_angles(star_graph(4), 1.0, np.ones(4), 0.0)
 
 
 def test_optimize_warns_when_refinement_does_not_converge(monkeypatch):
@@ -485,7 +555,7 @@ def test_optimize_warns_when_refinement_does_not_converge(monkeypatch):
 
     monkeypatch.setattr(homodyne, "minimize", stalled)
     with pytest.warns(RuntimeWarning, match=r"after 123 FI evaluations \(maxiter=4000\)") as rec:
-        optimize_angles(star_graph(4), 1.0, np.ones(4), 0.0, "phase")
+        optimize_angles(star_graph(4), 1.0, np.ones(4), 0.0)
     # coarse starts only rank candidates: one warning, for the final refinement
     assert len(rec) == 1
     assert calls[-1] == 4000 and calls.count(600) == len(calls) - 1
