@@ -34,21 +34,21 @@ CROSS_CHECK_TOL = 1e-9
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Replayable record of one CLI invocation."""
+    """Replayable record of one CLI invocation: the command and its parameters.
+
+    The output path and seed are parameters like any other. Older manifests
+    that repeat them at the top level still load; those keys are ignored.
+    """
 
     command: str
     parameters: dict
-    output_path: str
-    seed: int
 
     def to_dict(self):
         return asdict(self)
 
     @staticmethod
     def from_dict(d):
-        return RunManifest(command=str(d["command"]), parameters=dict(d["parameters"]),
-                           output_path=str(d.get("output_path", "")),
-                           seed=int(d.get("seed", 0)))
+        return RunManifest(command=str(d["command"]), parameters=dict(d["parameters"]))
 
 
 @dataclass(frozen=True)
@@ -356,10 +356,7 @@ def _manifest_from_args(args):
     if params.get("edges") is not None:
         # a replay from another working directory must find the same file
         params["edges"] = os.path.abspath(params["edges"])
-    seed = int(getattr(args, "seed", 0) or 0)
-    output = getattr(args, "output", "") or ""
-    return RunManifest(command=args.command, parameters=params,
-                       output_path=output, seed=seed)
+    return RunManifest(command=args.command, parameters=params)
 
 
 def _validate_fi_angles(args, parser):

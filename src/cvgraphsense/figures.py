@@ -28,11 +28,25 @@ def n_grid(n_max=DEFAULT_N_MAX):
     return np.unique(np.geomspace(2, n_max, 17).round().astype(int))
 
 
-def _qfi_pair(n, target_n, modality):
-    """(star, separable) QFI at mode count n and photon budget target_n."""
+def _budget_sweep(n, targets, modality):
+    """(row, warning) per photon budget in targets, on one star and one
+    separable graph of n modes; the other entry of each pair is None."""
+    try:
+        graphs = (star_graph(n), empty_graph(n))
+    except ValueError as exc:
+        return [(None, f"omitted N_bar={t:g} at n={n}: {exc}") for t in targets]
     f = np.ones(n if modality == "phase" else 2 * n)
-    return tuple(qfi(g, squeeze_for_photon_budget(g, target_n), f, modality)
-                 for g in (star_graph(n), empty_graph(n)))
+    results = []
+    for target in targets:
+        try:
+            qs, qe = (qfi(g, squeeze_for_photon_budget(g, target), f, modality)
+                      for g in graphs)
+        except ValueError as exc:
+            results.append((None, f"omitted N_bar={target:g} at n={n}: {exc}"))
+            continue
+        results.append(({"n": n, "N_bar": target, "qfi_star": qs,
+                         "qfi_separable": qe, "ratio": qs / qe}, None))
+    return results
 
 
 def scaling_rows(modality, n_fixed=10, nbar_grid=NBAR_GRID,
@@ -42,27 +56,16 @@ def scaling_rows(modality, n_fixed=10, nbar_grid=NBAR_GRID,
     First a photon-number sweep at fixed n, then mode-count sweeps at fixed
     photons per mode. Returns (rows, warnings); grid points whose photon
     budget is unreachable are omitted with a warning rather than aborting.
+    The graphs of each mode count are built once and serve every sweep.
     """
-    rows = []
-    warnings = []
-    for nbar in nbar_grid:
-        try:
-            qs, qe = _qfi_pair(n_fixed, float(nbar), modality)
-        except ValueError as exc:
-            warnings.append(f"omitted N_bar={nbar:g} at n={n_fixed}: {exc}")
-            continue
-        rows.append({"n": n_fixed, "N_bar": float(nbar), "qfi_star": qs,
-                     "qfi_separable": qe, "ratio": qs / qe})
-    for ntilde in ntilde_values:
-        for n in n_grid(n_max):
-            target = float(ntilde) * int(n)
-            try:
-                qs, qe = _qfi_pair(int(n), target, modality)
-            except ValueError as exc:
-                warnings.append(f"omitted N_bar={target:g} at n={n}: {exc}")
-                continue
-            rows.append({"n": int(n), "N_bar": target, "qfi_star": qs,
-                         "qfi_separable": qe, "ratio": qs / qe})
+    ntilde_values = [float(t) for t in ntilde_values]
+    sweeps = [_budget_sweep(n_fixed, [float(nbar) for nbar in nbar_grid], modality)]
+    by_n = [_budget_sweep(int(n), [t * int(n) for t in ntilde_values], modality)
+            for n in (n_grid(n_max) if ntilde_values else ())]
+    # by_n[i][k] is (n_i, ntilde_k); the table runs ntilde-major
+    sweeps += zip(*by_n)
+    rows = [row for sweep in sweeps for row, _ in sweep if row is not None]
+    warnings = [w for sweep in sweeps for _, w in sweep if w is not None]
     return rows, warnings
 
 

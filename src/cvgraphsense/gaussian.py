@@ -56,10 +56,14 @@ def graph_state_covariance(g: Graph, r) -> GaussianState:
     return GaussianState(n=n, cov=cov, r=r, excess_diag=excess)
 
 
+def _photon_number(n, t2, r):
+    """n sinh^2 r + (e^{2r}/4) T2 for n modes with T2 = Tr(A^2)."""
+    return n * np.sinh(r) ** 2 + 0.25 * np.exp(2.0 * r) * t2
+
+
 def mean_photon_number(g: Graph, r) -> float:
     """Total mean photon number: n sinh^2 r + (e^{2r}/4) Tr(A^2)."""
-    r = float(r)
-    return g.n * np.sinh(r) ** 2 + 0.25 * np.exp(2.0 * r) * trace_power(g, 2)
+    return _photon_number(g.n, trace_power(g, 2), float(r))
 
 
 def photon_number_from_covariance(state: GaussianState) -> float:
@@ -89,8 +93,10 @@ def squeeze_for_photon_budget(g: Graph, target_n) -> float:
         raise ValueError(f"target photon number must be finite, got {target_n}")
     if target_n <= 0:
         raise ValueError("target photon number must be positive")
-    lo = mean_photon_number(g, 0.0)
-    hi = mean_photon_number(g, R_CAP)
+    n = g.n
+    t2 = trace_power(g, 2)
+    lo = _photon_number(n, t2, 0.0)
+    hi = _photon_number(n, t2, R_CAP)
     tol = 1e-10 * target_n
     if target_n < lo - tol:
         raise ValueError(
@@ -108,8 +114,6 @@ def squeeze_for_photon_budget(g: Graph, target_n) -> float:
         return R_CAP
     # past the endpoint checks 4N > T2, so the discriminant
     # 4 (4N^2 + n (4N - T2)) is a sum of positive terms
-    n = g.n
-    t2 = trace_power(g, 2)
     excess = 4.0 * target_n - t2
     sqrt_disc = 2.0 * np.sqrt(4.0 * target_n ** 2 + n * excess)
     lin = 4.0 * target_n - 2.0 * t2
@@ -118,6 +122,6 @@ def squeeze_for_photon_budget(g: Graph, target_n) -> float:
     else:
         y = 2.0 * excess / (sqrt_disc - lin)
     r = 0.5 * np.log1p(y)
-    if abs(mean_photon_number(g, r) - target_n) > tol:
+    if abs(_photon_number(n, t2, r) - target_n) > tol:
         raise RuntimeError("photon-budget inversion missed its target")
     return float(r)

@@ -17,7 +17,7 @@ included for the scaling figures.
 import numpy as np
 
 from .gaussian import GaussianState
-from .graph import Graph, adjacency_squared, trace_power
+from .graph import Graph, _row_classes, trace_power
 
 
 def _check_f(f, n, name="f"):
@@ -37,16 +37,20 @@ def qfi_phase_closed_form(g: Graph, r, f) -> float:
     F = 2 sinh^2(2r) sum_j f_j^2
         + sum_jk (f_j^2 + e^{4r} f_j f_k) A_jk^2
         + (e^{4r}/2) sum_jk f_j f_k (A^2)_jk^2
+
+    Both sums run over the u row classes of A (graph._row_classes: A = U[c],
+    A^2 = G[c][:, c]) with w_c the sum of f over class c. A_jk^2 = A_jk turns
+    the second into (f o f).deg + e^{4r} w.(U f) and the third is
+    w^T (G o G) w, so the float arrays are u x n and u x u, not n x n.
     """
     f = _check_f(f, g.n)
     r = float(r)
-    a2 = adjacency_squared(g)
+    rows, gram, cls = _row_classes(g)
     e4r = np.exp(4.0 * r)
-    ff = np.outer(f, f)
+    w = np.bincount(cls, weights=f)
     term1 = 2.0 * np.sinh(2.0 * r) ** 2 * float(f @ f)
-    # A_jk^2 = A_jk for a 0/1 matrix
-    term2 = float(np.sum((f[:, None] ** 2 + e4r * ff) * g.adjacency))
-    term3 = 0.5 * e4r * float(np.sum(ff * a2 * a2))
+    term2 = float(np.square(f) @ g.degrees()) + e4r * float(w @ (rows @ f))
+    term3 = 0.5 * e4r * float(w @ np.square(gram) @ w)
     return term1 + term2 + term3
 
 

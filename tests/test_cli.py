@@ -340,6 +340,34 @@ def test_manifest_edges_replay_from_other_directory(tmp_path, monkeypatch, capsy
     assert replay == first
 
 
+def test_manifest_holds_command_and_parameters_only(tmp_path, capsys):
+    manifest = tmp_path / "run.json"
+    code, _, _ = run_cli(capsys, "verify", "photon", "--cases", "3", "--seed", "7",
+                         "--save-manifest", str(manifest))
+    assert code == 0
+    saved = json.loads(manifest.read_text())
+    assert set(saved) == {"command", "parameters"}
+    assert saved["parameters"]["seed"] == 7
+
+
+def test_manifest_with_old_top_level_keys_replays(tmp_path, capsys):
+    # manifests once repeated the output path and seed beside the parameters
+    out_path = tmp_path / "t.csv"
+    code, _, _ = run_cli(capsys, "figure", "fig2", "--n-max", "8", "--output", str(out_path))
+    assert code == 0
+    first = out_path.read_bytes()
+    out_path.unlink()
+    old = {"command": "figure",
+           "parameters": {"name": "fig2", "output": str(out_path), "n_max": 8,
+                          "ntilde_max": 10.0, "phi": 0.0, "json": False},
+           "output_path": str(out_path), "seed": 0}
+    manifest = tmp_path / "old.json"
+    manifest.write_text(json.dumps(old, indent=2))
+    code, _, _ = run_cli(capsys, "--manifest", str(manifest))
+    assert code == 0
+    assert out_path.read_bytes() == first
+
+
 def test_manifest_missing_file(capsys):
     code, _, err = run_cli(capsys, "--manifest", "/nonexistent/m.json")
     assert code == 2

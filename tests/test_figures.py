@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from cvgraphsense.gaussian import squeeze_for_photon_budget
+from cvgraphsense.graph import empty_graph, star_graph
+from cvgraphsense.qfi import qfi
 from cvgraphsense.figures import (
     FIG3_COLUMNS,
     figure_table,
@@ -64,6 +67,43 @@ def test_scaling_rows_ratio_column():
                            ntilde_values=(), n_max=4)
     row = rows[0]
     assert row["ratio"] == pytest.approx(row["qfi_star"] / row["qfi_separable"])
+
+
+def _scaling_rows_point_by_point(modality, n_fixed, nbar_grid, ntilde_values, n_max):
+    """Reference table: fresh graphs at every grid point, sweeps in table order."""
+    points = [(n_fixed, float(nbar)) for nbar in nbar_grid]
+    points += [(int(n), float(t) * int(n)) for t in ntilde_values for n in n_grid(n_max)]
+    rows, warnings = [], []
+    for n, target in points:
+        f = np.ones(n if modality == "phase" else 2 * n)
+        try:
+            qs, qe = (qfi(g, squeeze_for_photon_budget(g, target), f, modality)
+                      for g in (star_graph(n), empty_graph(n)))
+        except ValueError as exc:
+            warnings.append(f"omitted N_bar={target:g} at n={n}: {exc}")
+            continue
+        rows.append({"n": n, "N_bar": target, "qfi_star": qs,
+                     "qfi_separable": qe, "ratio": qs / qe})
+    return rows, warnings
+
+
+@pytest.mark.parametrize("modality", ["phase", "displacement"])
+def test_scaling_rows_order_with_repeated_ntilde(modality):
+    # ntilde = 0.2 is unreachable at small n, and it appears twice: each
+    # occurrence is a sweep of its own, rows and warnings alike
+    grid = dict(n_fixed=6, nbar_grid=(1.0, 40.0), ntilde_values=(0.2, 1.0, 0.2), n_max=16)
+    rows, warnings = scaling_rows(modality, **grid)
+    assert (rows, warnings) == _scaling_rows_point_by_point(modality, **grid)
+    assert sum(w.startswith("omitted N_bar=0.4 at n=2:") for w in warnings) == 2
+
+
+def test_figure_ntilde_max_one_repeats_the_sweep():
+    # --ntilde-max 1 gives ntilde = (1.0, 1.0): two identical mode-count sweeps
+    _, rows, _ = figure_table("fig2", n_max=32, ntilde_max=1.0)
+    grid = len(n_grid(32))
+    first, second = rows[-2 * grid:-grid], rows[-grid:]
+    assert first == second
+    assert [row["n"] for row in first] == list(n_grid(32))
 
 
 def test_saturation_rows_layout():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cvgraphsense.gaussian import graph_state_covariance
 from cvgraphsense.graph import (
     EdgelessGraphError,
     Graph,
@@ -17,6 +18,7 @@ from cvgraphsense.graph import (
     rectangular_graph,
     star_graph,
     trace_power,
+    _row_classes,
 )
 
 
@@ -141,6 +143,72 @@ def test_adjacency_squared_is_exact():
         a2 = adjacency_squared(g)
         assert a2.dtype == np.float64
         np.testing.assert_array_equal(a2, np.linalg.matrix_power(g.adjacency, 2))
+
+
+def _planted_twins(seed, n, k):
+    """Random graph on n vertices whose rows repeat those of a k-vertex base.
+
+    Vertex j copies base vertex c[j], drawn at random, so the copies of one
+    base vertex are false twins scattered over the vertex order.
+    """
+    rng = np.random.default_rng(seed)
+    b = np.triu((rng.random((k, k)) < 0.5).astype(int), k=1)
+    c = rng.integers(0, k, size=n)
+    return Graph(n, (b + b.T)[np.ix_(c, c)], f"twins({n},{k})")
+
+
+def _twin_free(seed, n):
+    rng = np.random.default_rng(seed)
+    while True:
+        a = np.triu((rng.random((n, n)) < 0.5).astype(int), k=1)
+        a = a + a.T
+        if len(np.unique(a, axis=0)) == n:
+            return Graph(n, a, f"twin-free({n})")
+
+
+ROW_CLASS_GRAPHS = [star_graph(2), star_graph(9), empty_graph(1), empty_graph(7),
+                    multipartite_graph(3, 4), rectangular_graph(6),
+                    _planted_twins(3, 12, 4), _planted_twins(5, 40, 7),
+                    _planted_twins(8, 65, 3), _twin_free(11, 30)]
+
+
+@pytest.mark.parametrize("g", ROW_CLASS_GRAPHS, ids=lambda g: g.label)
+def test_row_classes_group_identical_rows(g):
+    rows, gram, cls = _row_classes(g)
+    a = g.adjacency
+    np.testing.assert_array_equal(rows[cls], a)
+    np.testing.assert_array_equal(gram, rows @ rows.T)
+    # classes are numbered in order of first occurrence
+    _, first = np.unique(cls, return_index=True)
+    assert np.all(np.diff(first) > 0)
+    same_row = (a[:, None, :] == a[None, :, :]).all(axis=2)
+    np.testing.assert_array_equal(cls[:, None] == cls[None, :], same_row)
+
+
+@pytest.mark.parametrize("g", ROW_CLASS_GRAPHS, ids=lambda g: g.label)
+def test_row_class_products_equal_matrix_powers(g):
+    a = g.adjacency
+    a2 = np.linalg.matrix_power(a, 2)
+    np.testing.assert_array_equal(adjacency_squared(g), a2)
+    assert trace_power(g, 3) == np.trace(np.linalg.matrix_power(a, 3))
+    assert trace_power(g, 4) == np.trace(np.linalg.matrix_power(a, 4))
+    n, eye = g.n, np.eye(g.n)
+    for r in (-0.7, 0.0, 1.0, 3.0):
+        x = np.exp(2.0 * r)
+        expected = 0.5 * np.block([[x * eye, x * a], [x * a, x * a2 + np.exp(-2.0 * r) * eye]])
+        cov = graph_state_covariance(g, r).cov
+        assert cov.shape == (2 * n, 2 * n)
+        np.testing.assert_array_equal(cov, expected)
+
+
+def test_row_class_counts():
+    assert _row_classes(star_graph(2048))[1].shape == (2, 2)
+    assert _row_classes(empty_graph(64))[1].shape == (1, 1)
+    assert _row_classes(multipartite_graph(4, 16))[1].shape == (4, 4)
+    g = _twin_free(11, 30)
+    _, gram, cls = _row_classes(g)
+    np.testing.assert_array_equal(cls, np.arange(g.n))
+    assert gram.shape == (30, 30)
 
 
 def test_trace_power_star():

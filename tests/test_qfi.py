@@ -1,6 +1,7 @@
 """Quantum Fisher information: closed forms, generic route, asymptotes."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from cvgraphsense.gaussian import (
 )
 from cvgraphsense.graph import (Graph, empty_graph, multipartite_graph,
                                 rectangular_graph, star_graph)
+from test_graph import ROW_CLASS_GRAPHS
+
 from cvgraphsense.qfi import (
     qfi,
     qfi_displacement,
@@ -100,6 +103,44 @@ def test_phase_closed_vs_generic_random():
         generic = qfi_phase_generic(graph_state_covariance(g, r), f)
         denom = max(abs(closed), abs(generic), 1e-30)
         assert abs(closed - generic) / denom < 1e-9
+
+
+def _elementwise_phase_qfi(g, r, f):
+    """The closed form summed entry by entry over n x n arrays."""
+    f = np.asarray(f, dtype=float)
+    a = g.adjacency.astype(float)
+    a2 = a @ a
+    e4r = np.exp(4.0 * r)
+    ff = np.outer(f, f)
+    return (2.0 * np.sinh(2.0 * r) ** 2 * float(f @ f)
+            + float(np.sum((f[:, None] ** 2 + e4r * ff) * a))
+            + 0.5 * e4r * float(np.sum(ff * a2 * a2)))
+
+
+@pytest.mark.parametrize("g", ROW_CLASS_GRAPHS, ids=lambda g: g.label)
+def test_phase_closed_form_matches_elementwise_sum(g):
+    # with f = 1 the second sum is (1 + e^{4r}) Tr(A^2) either way, but the
+    # closed form rounds it per term and the reference per entry, so the two
+    # may differ in the last place
+    rng = np.random.default_rng(g.n)
+    for r in (-0.7, 0.0, 1e-5, 0.3, 1.0, 3.0):
+        ref = _elementwise_phase_qfi(g, r, np.ones(g.n))
+        assert abs(qfi_phase_closed_form(g, r, np.ones(g.n)) - ref) <= np.spacing(ref)
+        f = rng.standard_normal(g.n)
+        ref = _elementwise_phase_qfi(g, r, f)
+        assert abs(qfi_phase_closed_form(g, r, f) - ref) <= 1e-13 * abs(ref)
+
+
+def test_phase_closed_form_memory_on_large_star():
+    # the star's two row classes keep every float array at 2 x n: the peak
+    # is the 32 MB int64 adjacency and the transients of its validation
+    tracemalloc.start()
+    try:
+        qfi_phase_closed_form(star_graph(2048), 1.0, np.ones(2048))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48e6
 
 
 def _omega(n):
