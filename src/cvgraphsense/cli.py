@@ -12,15 +12,13 @@ code path, reproducing byte-identical output. Exit codes: 0 success,
 
 import argparse
 import json
-import math
 import os
 import sys
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import figures, oracle
-from .gaussian import (graph_state_covariance, mean_photon_number,
+from .gaussian import (check_finite, graph_state_covariance, mean_photon_number,
                        squeeze_for_photon_budget)
 from .graph import (EdgelessGraphError, adjacency_square_sum, chi_disp,
                     chi_phase, empty_graph, load_edge_list,
@@ -30,43 +28,6 @@ from .homodyne import fi_star_ansatz, optimize_angles, saturate_displacement
 from .qfi import qfi, qfi_displacement, qfi_phase_generic
 
 CROSS_CHECK_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Replayable record of one CLI invocation: the command and its parameters.
-
-    The output path and seed are parameters like any other. Older manifests
-    that repeat them at the top level still load; those keys are ignored.
-    """
-
-    command: str
-    parameters: dict
-
-    def to_dict(self):
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(d):
-        return RunManifest(command=str(d["command"]), parameters=dict(d["parameters"]))
-
-
-@dataclass(frozen=True)
-class FisherReport:
-    """Scalar information value plus the configuration that produced it."""
-
-    value: float
-    modality: str
-    graph: str
-    n: int
-    r: float
-    n_bar: float
-    phi: float
-    alpha: float
-    beta: float
-
-    def to_dict(self):
-        return asdict(self)
 
 
 def _fmt(v):
@@ -112,7 +73,8 @@ def build_graph(params):
     if params.get("empty") is not None:
         return empty_graph(int(params["empty"]))
     if params.get("edges") is not None:
-        return load_edge_list(params["edges"])
+        # os.fspath: a manifest's integer or boolean is not a file descriptor
+        return load_edge_list(os.fspath(params["edges"]))
     raise ValueError("no graph specified")
 
 
@@ -124,13 +86,6 @@ def parse_f(spec, length):
     if len(parts) != length:
         raise ValueError(f"expected 1 or {length} responsivity entries, got {len(parts)}")
     return np.array([float(p) for p in parts])
-
-
-def _finite(value, flag):
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{flag} must be finite, got {value}")
-    return value
 
 
 def _resolve_r(g, params):
@@ -195,7 +150,7 @@ def run_fi(params, stream):
     g = build_graph(params)
     modality = params["modality"]
     r = _resolve_r(g, params)
-    phi = _finite(params.get("phi", 0.0), "--phi")
+    phi = check_finite(params.get("phi", 0.0), "--phi")
     length = g.n if modality == "phase" else 2 * g.n
     f = parse_f(params.get("f", "1"), length)
     theta = None
@@ -205,16 +160,13 @@ def run_fi(params, stream):
     elif params.get("optimize"):
         alpha, beta, fi = optimize_angles(g, r, f, phi)
     else:
-        alpha = _finite(params["alpha"], "--alpha")
-        beta = _finite(params["beta"], "--beta")
+        alpha = check_finite(params["alpha"], "--alpha")
+        beta = check_finite(params["beta"], "--beta")
         fi = fi_star_ansatz(g, r, f, phi, alpha, beta, modality)
     q = qfi(g, r, f, modality)
-    report = FisherReport(value=fi, modality=modality, graph=g.label, n=g.n,
-                          r=r, n_bar=mean_photon_number(g, r), phi=phi,
-                          alpha=alpha, beta=beta)
-    payload = report.to_dict()
-    payload["qfi"] = q
-    payload["ratio"] = fi / q
+    payload = {"value": fi, "modality": modality, "graph": g.label, "n": g.n, "r": r,
+               "n_bar": mean_photon_number(g, r), "phi": phi, "alpha": alpha,
+               "beta": beta, "qfi": q, "ratio": fi / q}
     if theta is not None:
         payload["theta"] = theta.tolist()
     _emit(payload, params, stream)
@@ -238,7 +190,7 @@ def run_figure(params, stream):
         write_csv(columns, rows, buf)
         text = buf.getvalue()
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+        with open(os.fspath(out_path), "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         stream.write(text)
@@ -268,18 +220,6 @@ RUNNERS = {
     "figure": run_figure,
     "verify": run_verify,
 }
-
-# parameters each command contributes to its manifest
-_MANIFEST_KEYS = {
-    "graph-info": ("star", "multipartite", "rectangular", "empty", "edges", "csv"),
-    "qfi": ("modality", "star", "multipartite", "rectangular", "empty", "edges",
-            "r", "target_n", "f", "csv"),
-    "fi": ("modality", "star", "multipartite", "rectangular", "empty", "edges",
-           "r", "target_n", "f", "phi", "alpha", "beta", "optimize", "csv"),
-    "figure": ("name", "output", "n_max", "ntilde_max", "phi", "json"),
-    "verify": ("suite", "cases", "seed"),
-}
-
 
 def _add_graph_args(sub):
     grp = sub.add_mutually_exclusive_group(required=True)
@@ -347,16 +287,14 @@ def build_parser():
 
 
 def _manifest_from_args(args):
-    params = {}
-    for key in _MANIFEST_KEYS[args.command]:
-        val = getattr(args, key, None)
-        if isinstance(val, tuple):
-            val = list(val)
-        params[key] = val
+    """{command, parameters}: every parameter the command's parser defines, in
+    the parser's order."""
+    params = {key: val for key, val in vars(args).items()
+              if key not in ("manifest", "command", "save_manifest")}
     if params.get("edges") is not None:
         # a replay from another working directory must find the same file
         params["edges"] = os.path.abspath(params["edges"])
-    return RunManifest(command=args.command, parameters=params)
+    return {"command": args.command, "parameters": params}
 
 
 def _validate_fi_angles(args, parser):
@@ -398,15 +336,17 @@ def main(argv=None):
                 doc = json.load(fh)
             if not isinstance(doc, dict):
                 raise ValueError("not a JSON object")
-            manifest = RunManifest.from_dict(doc)
+            # only these keys are read; older manifests also repeat the output
+            # path and seed at the top level
+            command, params = str(doc["command"]), dict(doc["parameters"])
         except (OSError, KeyError, TypeError, ValueError) as exc:
             print(f"error: cannot load manifest: {exc}", file=sys.stderr)
             return 2
-        if manifest.command not in RUNNERS:
-            print(f"error: unknown manifest command {manifest.command!r}", file=sys.stderr)
+        if command not in RUNNERS:
+            print(f"error: unknown manifest command {command!r}", file=sys.stderr)
             return 2
         try:
-            return _run(manifest.command, dict(manifest.parameters))
+            return _run(command, params)
         except KeyError as exc:
             print(f"error: manifest lacks parameter {exc}", file=sys.stderr)
         except TypeError as exc:
@@ -420,9 +360,9 @@ def main(argv=None):
     manifest = _manifest_from_args(args)
     if args.save_manifest:
         with open(args.save_manifest, "w", encoding="utf-8") as fh:
-            json.dump(manifest.to_dict(), fh, indent=2)
+            json.dump(manifest, fh, indent=2)
             fh.write("\n")
-    return _run(args.command, dict(manifest.parameters))
+    return _run(args.command, manifest["parameters"])
 
 
 def entry_point():

@@ -11,6 +11,7 @@ so the q block is (e^{2r}/2) I, the q-p block (e^{2r}/2) A, and the state is
 pure: det(2 cov) = 1.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,38 @@ from .graph import Graph, adjacency_squared, trace_power
 # e^{4r} reaches ~2.4e17 at r = 10, the edge of double-precision safety for
 # the trace-formula cross-checks; larger |r| is rejected.
 R_CAP = 10.0
+
+
+def check_r(r) -> float:
+    """The squeeze parameter as a float: finite with |r| <= R_CAP."""
+    r = float(r)
+    if not abs(r) <= R_CAP:  # also rejects NaN
+        raise ValueError(f"squeeze parameter must satisfy |r| <= {R_CAP}")
+    return r
+
+
+def check_f(f, n, modality) -> np.ndarray:
+    """Responsivities as a float vector: n entries for phase sensing, 2n for
+    displacement sensing, all finite and not all zero."""
+    if modality not in ("phase", "displacement"):
+        raise ValueError(f"unknown modality {modality!r}")
+    length = n if modality == "phase" else 2 * n
+    f = np.asarray(f, dtype=float)
+    if f.shape != (length,):
+        raise ValueError(f"f must have length {length}, got shape {f.shape}")
+    if not np.isfinite(f).all():
+        raise ValueError("f must be finite")
+    if not f.any():
+        raise ValueError("f must have at least one nonzero entry")
+    return f
+
+
+def check_finite(value, name) -> float:
+    """A scalar input as a float that must be finite; `name` labels the message."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -35,9 +68,7 @@ class GaussianState:
 
 def graph_state_covariance(g: Graph, r) -> GaussianState:
     """Covariance matrix of the graph state built on g with squeezing r."""
-    r = float(r)
-    if not np.isfinite(r) or abs(r) > R_CAP:
-        raise ValueError(f"squeeze parameter must satisfy |r| <= {R_CAP}")
+    r = check_r(r)
     n = g.n
     x = np.exp(2.0 * r)
     cov = np.zeros((2 * n, 2 * n))
@@ -63,7 +94,7 @@ def _photon_number(n, t2, r):
 
 def mean_photon_number(g: Graph, r) -> float:
     """Total mean photon number: n sinh^2 r + (e^{2r}/4) Tr(A^2)."""
-    return _photon_number(g.n, trace_power(g, 2), float(r))
+    return _photon_number(g.n, trace_power(g, 2), check_r(r))
 
 
 def photon_number_from_covariance(state: GaussianState) -> float:
@@ -88,9 +119,7 @@ def squeeze_for_photon_budget(g: Graph, target_n) -> float:
     quadratic formula adds terms of one sign, and r = log1p(y)/2. Targets
     outside the reachable range raise with the range in the message.
     """
-    target_n = float(target_n)
-    if not np.isfinite(target_n):
-        raise ValueError(f"target photon number must be finite, got {target_n}")
+    target_n = check_finite(target_n, "target photon number")
     if target_n <= 0:
         raise ValueError("target photon number must be positive")
     n = g.n

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import R_CAP
+from .gaussian import check_f, check_finite, check_r
 from .graph import Graph
 
 TWO_PI = 2.0 * np.pi
@@ -43,9 +43,12 @@ class HomodyneSetting:
     theta: np.ndarray
 
     def __post_init__(self):
-        t = np.mod(np.asarray(self.theta, dtype=float), TWO_PI)
+        t = np.asarray(self.theta, dtype=float)
         if t.ndim != 1:
             raise ValueError("theta must be a vector")
+        if not np.isfinite(t).all():
+            raise ValueError("theta must be finite")
+        t = np.mod(t, TWO_PI)
         object.__setattr__(self, "theta", t)
 
 
@@ -75,13 +78,6 @@ def diag_trig_matrices(f, phi, theta):
     g2 = np.diag(np.cos(theta))
     f2 = np.diag(np.sin(theta))
     return g1, f1, g2, f2
-
-
-def _check_r(r):
-    r = float(r)
-    if not np.isfinite(r) or abs(r) > R_CAP:
-        raise ValueError(f"squeeze parameter must satisfy |r| <= {R_CAP}")
-    return r
 
 
 def _moments(g: Graph, r, f, phi, theta, modality):
@@ -121,15 +117,12 @@ def _moments(g: Graph, r, f, phi, theta, modality):
     return sigma, root, d_sigma, None
 
 
-def _check_moments_query(g: Graph, r, f, setting, length):
-    r = _check_r(r)
-    f = np.asarray(f, dtype=float)
-    if f.shape != (length,):
-        raise ValueError(f"f must have length {length}")
-    theta = np.asarray(setting.theta, dtype=float)
-    if theta.shape != (g.n,):
+def _check_moments_query(g: Graph, r, f, phi, setting, modality):
+    """Validate one moments query; returns (r, f, phi, theta[None])."""
+    r, f, phi = check_r(r), check_f(f, g.n, modality), check_finite(phi, "phi")
+    if setting.theta.shape != (g.n,):
         raise ValueError(f"theta must have length {g.n}")
-    return r, f, theta[None]
+    return r, f, phi, setting.theta[None]
 
 
 def phase_measurement_moments(g: Graph, r, f, phi, setting: HomodyneSetting) -> MeasurementMoments:
@@ -138,8 +131,8 @@ def phase_measurement_moments(g: Graph, r, f, phi, setting: HomodyneSetting) -> 
     omega = 0; sigma_M and its analytic derivative d sigma_M / d phi depend
     on the angles only through theta - f phi.
     """
-    r, f, theta = _check_moments_query(g, r, f, setting, g.n)
-    sigma, root, d_sigma, _ = _moments(g, r, f, float(phi), theta, "phase")
+    r, f, phi, theta = _check_moments_query(g, r, f, phi, setting, "phase")
+    sigma, root, d_sigma, _ = _moments(g, r, f, phi, theta, "phase")
     return MeasurementMoments(omega=np.zeros(g.n), sigma_m=sigma[0],
                               d_omega=np.zeros(g.n), d_sigma=d_sigma[0],
                               sigma_root=root[0])
@@ -151,9 +144,9 @@ def displacement_measurement_moments(g: Graph, r, f, phi, setting: HomodyneSetti
     omega_i = phi (sin(theta_i) f_{n+i} - cos(theta_i) f_i); sigma_M is the
     phi-independent covariance of the measured quadratures, so d_sigma = 0.
     """
-    r, f, theta = _check_moments_query(g, r, f, setting, 2 * g.n)
-    sigma, root, _, d_omega = _moments(g, r, f, float(phi), theta, "displacement")
-    return MeasurementMoments(omega=float(phi) * d_omega[0], sigma_m=sigma[0],
+    r, f, phi, theta = _check_moments_query(g, r, f, phi, setting, "displacement")
+    sigma, root, _, d_omega = _moments(g, r, f, phi, theta, "displacement")
+    return MeasurementMoments(omega=phi * d_omega[0], sigma_m=sigma[0],
                               d_omega=d_omega[0], d_sigma=np.zeros((g.n, g.n)),
                               sigma_root=root[0])
 
@@ -200,22 +193,12 @@ def _is_star(g: Graph):
     return bool(np.all(a[0, 1:] == 1) and not np.any(a[1:, 1:]))
 
 
-def _require_star(g: Graph):
+def _check_ansatz(g: Graph, r, f, phi, modality):
+    """Validate a two-angle star query (star, then r, then f, then phi);
+    returns (r, f, phi) as floats."""
     if not _is_star(g):
         raise ValueError("angle ansatz requires a star graph with hub at vertex 1")
-
-
-def _check_ansatz(g: Graph, r, f, modality):
-    """Validate a two-angle star query; returns (r, f) as floats."""
-    _require_star(g)
-    r = _check_r(r)
-    if modality not in ("phase", "displacement"):
-        raise ValueError(f"unknown modality {modality!r}")
-    length = g.n if modality == "phase" else 2 * g.n
-    f = np.asarray(f, dtype=float)
-    if f.shape != (length,):
-        raise ValueError(f"f must have length {length}")
-    return r, f
+    return check_r(r), check_f(f, g.n, modality), check_finite(phi, "phi")
 
 
 def _sector_fi_function(n, r, f, phi, modality):
@@ -328,11 +311,11 @@ def fi_star_ansatz(g: Graph, r, f, phi, alpha, beta, modality) -> float:
     Leaves of one responsivity take the O(1) sector route of
     `_sector_fi_function`; otherwise the dense moments are built.
     """
-    r, f = _check_ansatz(g, r, f, modality)
-    phi = float(phi)
+    r, f, phi = _check_ansatz(g, r, f, phi, modality)
+    alpha, beta = check_finite(alpha, "alpha"), check_finite(beta, "beta")
     fi = (_sector_fi_function(g.n, r, f, phi, modality)
           or _dense_fi_function(g, r, f, phi, modality))
-    return float(fi(float(alpha), float(beta)))
+    return float(fi(alpha, beta))
 
 
 def saturate_displacement(g: Graph, r, f):
@@ -357,13 +340,8 @@ def saturate_displacement(g: Graph, r, f):
     when the leaves share one responsivity), otherwise through the dense
     moments.
     """
-    r = _check_r(r)
+    r, f = check_r(r), check_f(f, g.n, "displacement")
     n = g.n
-    f = np.asarray(f, dtype=float)
-    if f.shape != (2 * n,):
-        raise ValueError(f"f must have length {2 * n}")
-    if not np.all(np.isfinite(f)):
-        raise ValueError("f must be finite")
     fq, fp = f[:n], f[n:]
     u = fq + g.adjacency @ fp
     w = g.adjacency @ u + math.exp(-4.0 * r) * fp
@@ -387,8 +365,7 @@ def optimize_angles(g: Graph, r, f, phi):
     from the leaders and once more, tightly, from the winner, with FI
     tolerances relative to the best candidate's value.
     """
-    r, f = _check_ansatz(g, r, f, "phase")
-    phi = float(phi)
+    r, f, phi = _check_ansatz(g, r, f, phi, "phase")
     fi = (_sector_fi_function(g.n, r, f, phi, "phase")
           or _dense_fi_function(g, r, f, phi, "phase"))
 

@@ -86,49 +86,42 @@ def _describe(g, r, extra=""):
     return f"{g.label} r={r:.6f}{extra}"
 
 
-def run_phase_equivalence(case_count, seed) -> EquivalenceReport:
-    """Closed-form phase QFI vs the generic covariance trace form."""
+def _compare(name, case_count, seed, tol, f_modes, routes):
+    """Worst relative error between two routes to one quantity.
+
+    Each case draws r, then (f_modes > 0) f with f_modes * n entries, and
+    evaluates routes(g, r, f), which returns the two values to compare.
+    """
     rng = np.random.default_rng(seed)
     worst_err, worst = 0.0, ""
     for g in _case_graphs(case_count, rng):
         r = rng.uniform(0.0, 2.0)
-        f = rng.uniform(-2.0, 2.0, g.n)
-        a = qfi_phase_closed_form(g, r, f)
-        b = qfi_phase_generic(graph_state_covariance(g, r), f)
-        err = rel_error(a, b)
+        f = rng.uniform(-2.0, 2.0, f_modes * g.n) if f_modes else None
+        err = rel_error(*routes(g, r, f))
         if err > worst_err:
             worst_err, worst = err, _describe(g, r)
-    return _report("phase_equivalence", case_count, worst_err, worst, PHASE_TOL)
+    return _report(name, case_count, worst_err, worst, tol)
+
+
+def run_phase_equivalence(case_count, seed) -> EquivalenceReport:
+    """Closed-form phase QFI vs the generic covariance trace form."""
+    return _compare("phase_equivalence", case_count, seed, PHASE_TOL, 1,
+                    lambda g, r, f: (qfi_phase_closed_form(g, r, f),
+                                     qfi_phase_generic(graph_state_covariance(g, r), f)))
 
 
 def run_displacement_equivalence(case_count, seed) -> EquivalenceReport:
     """Four-term displacement closed form vs the quadratic form."""
-    rng = np.random.default_rng(seed)
-    worst_err, worst = 0.0, ""
-    for g in _case_graphs(case_count, rng):
-        r = rng.uniform(0.0, 2.0)
-        f = rng.uniform(-2.0, 2.0, 2 * g.n)
-        a = qfi_displacement_closed_form(g, r, f)
-        b = qfi_displacement(graph_state_covariance(g, r), f)
-        err = rel_error(a, b)
-        if err > worst_err:
-            worst_err, worst = err, _describe(g, r)
-    return _report("displacement_equivalence", case_count, worst_err, worst,
-                   DISPLACEMENT_TOL)
+    return _compare("displacement_equivalence", case_count, seed, DISPLACEMENT_TOL, 2,
+                    lambda g, r, f: (qfi_displacement_closed_form(g, r, f),
+                                     qfi_displacement(graph_state_covariance(g, r), f)))
 
 
 def run_photon_identity(case_count, seed) -> EquivalenceReport:
     """Photon-number formula vs the covariance-trace evaluation."""
-    rng = np.random.default_rng(seed)
-    worst_err, worst = 0.0, ""
-    for g in _case_graphs(case_count, rng):
-        r = rng.uniform(0.0, 2.0)
-        a = mean_photon_number(g, r)
-        b = photon_number_from_covariance(graph_state_covariance(g, r))
-        err = rel_error(a, b)
-        if err > worst_err:
-            worst_err, worst = err, _describe(g, r)
-    return _report("photon_identity", case_count, worst_err, worst, PHOTON_TOL)
+    return _compare("photon_identity", case_count, seed, PHOTON_TOL, 0,
+                    lambda g, r, f: (mean_photon_number(g, r),
+                                     photon_number_from_covariance(graph_state_covariance(g, r))))
 
 
 def run_fi_derivative_check(case_count, seed) -> EquivalenceReport:

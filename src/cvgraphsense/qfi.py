@@ -16,19 +16,8 @@ included for the scaling figures.
 
 import numpy as np
 
-from .gaussian import GaussianState
+from .gaussian import GaussianState, check_f, check_r
 from .graph import Graph, _row_classes, trace_power
-
-
-def _check_f(f, n, name="f"):
-    f = np.asarray(f, dtype=float)
-    if f.shape != (n,):
-        raise ValueError(f"{name} must have length {n}, got shape {f.shape}")
-    if not np.all(np.isfinite(f)):
-        raise ValueError(f"{name} must be finite")
-    if not np.any(f):
-        raise ValueError(f"{name} must have at least one nonzero entry")
-    return f
 
 
 def qfi_phase_closed_form(g: Graph, r, f) -> float:
@@ -43,8 +32,8 @@ def qfi_phase_closed_form(g: Graph, r, f) -> float:
     the second into (f o f).deg + e^{4r} w.(U f) and the third is
     w^T (G o G) w, so the float arrays are u x n and u x u, not n x n.
     """
-    f = _check_f(f, g.n)
-    r = float(r)
+    r = check_r(r)
+    f = check_f(f, g.n, "phase")
     rows, gram, cls = _row_classes(g)
     e4r = np.exp(4.0 * r)
     w = np.bincount(cls, weights=f)
@@ -59,10 +48,8 @@ def qfi_phase_equal_f(g: Graph, r, f_scalar) -> float:
 
     F = 2 n f^2 sinh^2(2r) + (1 + e^{4r}) f^2 Tr(A^2) + (e^{4r}/2) f^2 Tr(A^4)
     """
-    r = float(r)
-    fsq = float(f_scalar) ** 2
-    if fsq == 0.0:
-        raise ValueError("responsivity must be nonzero")
+    r = check_r(r)
+    fsq = float(check_f([f_scalar], 1, "phase")[0]) ** 2
     e4r = np.exp(4.0 * r)
     t2 = trace_power(g, 2)
     t4 = trace_power(g, 4)
@@ -99,7 +86,7 @@ def qfi_phase_generic(state: GaussianState, f) -> float:
     eps/r in relative terms instead of eps/r^2.
     Cross-checked against qfi_phase_closed_form by the oracle suite.
     """
-    f = _check_f(f, state.n)
+    f = check_f(f, state.n, "phase")
     d = np.concatenate((f, f))
     e = state.excess_diag
     sq = np.square(state.cov)
@@ -109,7 +96,7 @@ def qfi_phase_generic(state: GaussianState, f) -> float:
 
 def qfi_displacement(state: GaussianState, f) -> float:
     """Displacement QFI as the quadratic form 4 f^T cov f (pure states)."""
-    f = _check_f(f, 2 * state.n)
+    f = check_f(f, state.n, "displacement")
     return 4.0 * float(f @ state.cov @ f)
 
 
@@ -121,8 +108,8 @@ def qfi_displacement_closed_form(g: Graph, r, f) -> float:
     where f = (f_q, f_p) in block order; f_p^T A^2 f_p = |A f_p|^2 as A is
     symmetric, so A^2 is never formed.
     """
-    f = _check_f(f, 2 * g.n)
-    r = float(r)
+    r = check_r(r)
+    f = check_f(f, g.n, "displacement")
     n = g.n
     fq, fp = f[:n], f[n:]
     afp = g.adjacency.astype(float) @ fp

@@ -199,6 +199,25 @@ def test_fi_optimize_displacement_loads_no_scipy():
     assert json.loads(proc.stdout)["ratio"] >= 1 - 1e-9
 
 
+def test_fi_zero_f_fails_before_the_optimizer_loads_scipy():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    script = (
+        "import sys\n"
+        "import cvgraphsense.cli\n"
+        "code = cvgraphsense.cli.main(['fi', 'phase', '--star', '3', '--r', '1', '--f', '0',"
+        " '--optimize'])\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert code == 2 and not loaded, (code, loaded)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "error: f must have at least one nonzero entry\n"
+
+
 def test_fi_fixed_angles_bounded_by_qfi(capsys):
     code, out, _ = run_cli(capsys, "fi", "phase", "--star", "3", "--r", "1",
                            "--alpha", "1.2", "--beta", "0.4")
@@ -340,13 +359,30 @@ def test_manifest_edges_replay_from_other_directory(tmp_path, monkeypatch, capsy
     assert replay == first
 
 
-def test_manifest_holds_command_and_parameters_only(tmp_path, capsys):
-    manifest = tmp_path / "run.json"
-    code, _, _ = run_cli(capsys, "verify", "photon", "--cases", "3", "--seed", "7",
-                         "--save-manifest", str(manifest))
-    assert code == 0
-    saved = json.loads(manifest.read_text())
-    assert set(saved) == {"command", "parameters"}
+GRAPH_KEYS = ["star", "multipartite", "rectangular", "empty", "edges"]
+# each command's manifest parameters, in the order its parser defines them
+MANIFEST_RUNS = [
+    (("graph-info", "--star", "3"), GRAPH_KEYS + ["csv"]),
+    (("qfi", "phase", "--star", "3", "--r", "1"),
+     ["modality"] + GRAPH_KEYS + ["r", "target_n", "f", "csv"]),
+    (("fi", "displacement", "--star", "3", "--r", "1", "--optimize"),
+     ["modality"] + GRAPH_KEYS + ["r", "target_n", "f", "phi", "alpha", "beta",
+                                  "optimize", "csv"]),
+    (("figure", "fig2", "--n-max", "4", "--output", "t.csv"),
+     ["name", "output", "n_max", "ntilde_max", "phi", "json"]),
+    (("verify", "photon", "--cases", "3", "--seed", "7"), ["suite", "cases", "seed"]),
+]
+
+
+def test_manifest_holds_command_and_parameters_only(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for argv, keys in MANIFEST_RUNS:
+        code, _, _ = run_cli(capsys, *argv, "--save-manifest", "run.json")
+        assert code == 0, argv
+        saved = json.loads((tmp_path / "run.json").read_text())
+        assert list(saved) == ["command", "parameters"]
+        assert saved["command"] == argv[0]
+        assert list(saved["parameters"]) == keys, argv
     assert saved["parameters"]["seed"] == 7
 
 
@@ -389,6 +425,22 @@ def test_malformed_manifest_is_usage_error(tmp_path, capsys, doc):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("doc", [
+    {"command": "figure", "parameters": {"name": "fig2", "n_max": 4, "output": 1}},
+    {"command": "figure", "parameters": {"name": "fig2", "n_max": 4, "output": True}},
+    {"command": "graph-info", "parameters": {"edges": 1}},
+])
+def test_manifest_path_is_not_a_file_descriptor(tmp_path, capsys, doc):
+    # open() would take an integer as a descriptor: write to stdout and close it
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "--manifest", str(manifest))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid manifest parameter: expected str")
     assert err.count("\n") == 1
 
 

@@ -1,4 +1,4 @@
-"""Property test of the CLI contract over generated argv.
+"""Property tests of the CLI contract over generated argv and manifest documents.
 
 Every run exits 0 (success), 1 (a check failed) or 2 (usage error), never
 with a traceback, and never prints a non-finite number.
@@ -6,7 +6,10 @@ with a traceback, and never prints a non-finite number.
 
 import contextlib
 import io
+import json
+import os
 import re
+import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,3 +93,76 @@ def test_cli_exit_codes_and_output(argv):
     assert not NON_FINITE.search(out.getvalue()), (argv, out.getvalue())
     if code == 2:
         assert err.getvalue().strip(), argv
+
+
+GRAPH_NONE = {"star": None, "multipartite": None, "rectangular": None, "empty": None,
+              "edges": None}
+# one small, valid parameter set per command, in the parser's key order
+MANIFEST_PARAMETERS = {
+    "graph-info": {**GRAPH_NONE, "star": 3, "csv": False},
+    "qfi": {"modality": "phase", **GRAPH_NONE, "star": 3, "r": 1.0, "target_n": None,
+            "f": "1", "csv": False},
+    "fi": {"modality": "displacement", **GRAPH_NONE, "star": 3, "r": 1.0, "target_n": None,
+           "f": "1", "phi": 0.0, "alpha": None, "beta": None, "optimize": True,
+           "csv": False},
+    "figure": {"name": "fig2", "output": None, "n_max": 4, "ntilde_max": 10.0, "phi": 0.0,
+               "json": False},
+    "verify": {"suite": "photon", "cases": 2, "seed": 1},
+}
+# JSON values of every type; numbers stay small so that no run grows large
+JSON_VALUE = st.sampled_from([None, True, False, -1, 0, 1, 2, 1.5, "", "abc", "nan", "t.out",
+                              [1, 2], [2, 3, 4], {"a": 1}])
+# a parameter of another type is drawn twice as often as each other change
+CHANGES = ("retype", "retype", "drop", "extra", "command", "parameters", "old keys",
+           "not an object")
+
+
+@st.composite
+def manifest_documents(draw):
+    """A valid document with one or two changes: a parameter of another type,
+    missing or unknown; `command` or `parameters` missing or of another type;
+    the top-level keys of older manifests; or no JSON object at all."""
+    command = draw(st.sampled_from(sorted(MANIFEST_PARAMETERS)))
+    params = dict(MANIFEST_PARAMETERS[command])
+    doc = {"command": command, "parameters": params}
+    for change in draw(st.lists(st.sampled_from(CHANGES), min_size=1, max_size=2)):
+        key = draw(st.sampled_from(sorted(params)))
+        if change == "retype":
+            params[key] = draw(JSON_VALUE)
+        elif change == "drop":
+            del params[key]
+        elif change == "extra":
+            params["unknown"] = draw(JSON_VALUE)
+        elif change == "old keys":
+            doc.update(output_path="t.csv", seed=0)
+        elif change == "not an object":
+            return draw(JSON_VALUE)
+        elif draw(st.booleans()):
+            doc.pop(change, None)
+        else:
+            doc[change] = draw(JSON_VALUE)
+    return doc
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(manifest_documents())
+def test_manifest_replay_exit_codes_and_output(doc):
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # a manifest may name an output file
+        try:
+            with open("m.json", "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["--manifest", "m.json"])
+            written = set(os.listdir(tmp)) - {"m.json"}
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2), (doc, code)
+    if code == 0:  # a success prints its result or writes the named file
+        assert out.getvalue() or written, doc
+    assert "Traceback" not in err.getvalue()
+    assert not NON_FINITE.search(out.getvalue()), (doc, out.getvalue())
+    if code == 2:
+        assert err.getvalue().splitlines()[-1].startswith("error: "), (doc, err.getvalue())
