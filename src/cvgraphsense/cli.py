@@ -56,31 +56,27 @@ def _emit(payload, params, stream):
         if not isinstance(value, str) and not np.all(np.isfinite(value)):
             raise ValueError(f"{key} is not finite ({_fmt(value)}); the inputs overflow "
                              "double precision")
-    if params.get("csv"):
+    if params["csv"]:
         write_csv(list(payload.keys()), [payload], stream)
     else:
         stream.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def build_graph(params):
-    if params.get("star") is not None:
-        return star_graph(int(params["star"]))
-    if params.get("multipartite") is not None:
-        l, m = params["multipartite"]
-        return multipartite_graph(int(l), int(m))
-    if params.get("rectangular") is not None:
-        return rectangular_graph(int(params["rectangular"]))
-    if params.get("empty") is not None:
-        return empty_graph(int(params["empty"]))
-    if params.get("edges") is not None:
-        # os.fspath: a manifest's integer or boolean is not a file descriptor
-        return load_edge_list(os.fspath(params["edges"]))
-    raise ValueError("no graph specified")
+    if params["star"] is not None:
+        return star_graph(params["star"])
+    if params["multipartite"] is not None:
+        return multipartite_graph(*params["multipartite"])
+    if params["rectangular"] is not None:
+        return rectangular_graph(params["rectangular"])
+    if params["empty"] is not None:
+        return empty_graph(params["empty"])
+    return load_edge_list(params["edges"])
 
 
 def parse_f(spec, length):
     """Responsivity vector from a single float or a comma-separated list."""
-    parts = [p for p in str(spec).split(",") if p.strip() != ""]
+    parts = [p for p in spec.split(",") if p.strip() != ""]
     if len(parts) == 1:
         return np.full(length, float(parts[0]))
     if len(parts) != length:
@@ -89,11 +85,9 @@ def parse_f(spec, length):
 
 
 def _resolve_r(g, params):
-    if params.get("target_n") is not None:
-        r = squeeze_for_photon_budget(g, float(params["target_n"]))
-    else:
-        r = float(params["r"])
-    return r
+    if params["target_n"] is None:
+        return params["r"]
+    return squeeze_for_photon_budget(g, params["target_n"])
 
 
 def run_graph_info(params, stream):
@@ -123,7 +117,7 @@ def run_qfi(params, stream):
     modality = params["modality"]
     r = _resolve_r(g, params)
     state = graph_state_covariance(g, r)
-    f = parse_f(params.get("f", "1"), g.n if modality == "phase" else 2 * g.n)
+    f = parse_f(params["f"], g.n if modality == "phase" else 2 * g.n)
     closed = qfi(g, r, f, modality)
     cross = (qfi_phase_generic if modality == "phase" else qfi_displacement)(state, f)
     diff = oracle.rel_error(closed, cross)
@@ -150,14 +144,13 @@ def run_fi(params, stream):
     g = build_graph(params)
     modality = params["modality"]
     r = _resolve_r(g, params)
-    phi = check_finite(params.get("phi", 0.0), "--phi")
-    length = g.n if modality == "phase" else 2 * g.n
-    f = parse_f(params.get("f", "1"), length)
+    phi = check_finite(params["phi"], "--phi")
+    f = parse_f(params["f"], g.n if modality == "phase" else 2 * g.n)
     theta = None
-    if params.get("optimize") and modality == "displacement":
+    if params["optimize"] and modality == "displacement":
         theta, fi = saturate_displacement(g, r, f)
         alpha, beta = float(theta[0]), float(theta[min(1, g.n - 1)])
-    elif params.get("optimize"):
+    elif params["optimize"]:
         alpha, beta, fi = optimize_angles(g, r, f, phi)
     else:
         alpha = check_finite(params["alpha"], "--alpha")
@@ -174,23 +167,20 @@ def run_fi(params, stream):
 
 
 def run_figure(params, stream):
-    name = params["name"]
     columns, rows, warnings = figures.figure_table(
-        name, n_max=int(params.get("n_max", figures.DEFAULT_N_MAX)),
-        ntilde_max=float(params.get("ntilde_max", 10.0)),
-        phi=float(params.get("phi", 0.0)))
+        params["name"], n_max=params["n_max"], ntilde_max=params["ntilde_max"],
+        phi=params["phi"])
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    out_path = params.get("output") or ""
-    if params.get("json"):
+    if params["json"]:
         text = json.dumps([{c: row[c] for c in columns} for row in rows], indent=2) + "\n"
     else:
         import io
         buf = io.StringIO()
         write_csv(columns, rows, buf)
         text = buf.getvalue()
-    if out_path:
-        with open(os.fspath(out_path), "w", encoding="utf-8", newline="") as fh:
+    if params["output"]:
+        with open(params["output"], "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         stream.write(text)
@@ -198,17 +188,13 @@ def run_figure(params, stream):
 
 
 def run_verify(params, stream):
-    cases = int(params.get("cases", 200))
+    cases, seed, suite = params["cases"], params["seed"], params["suite"]
     if cases < 1:
         raise ValueError("--cases must be at least 1")
-    seed = int(params.get("seed", 42))
-    suite = params.get("suite", "all")
     if suite == "all":
         reports = oracle.run_all(cases, seed)
-    elif suite in oracle.SUITES:
-        reports = [oracle.SUITES[suite](cases, seed)]
     else:
-        raise ValueError(f"unknown suite {suite!r}")
+        reports = [oracle.SUITES[suite](cases, seed)]
     stream.write(json.dumps([rep.to_dict() for rep in reports], indent=2) + "\n")
     return 0 if all(rep.passed for rep in reports) else 1
 
@@ -221,6 +207,18 @@ RUNNERS = {
     "verify": run_verify,
 }
 
+
+class _Parser(argparse.ArgumentParser):
+    """argparse, except that while it replays a manifest an error raises
+    ValueError, for one `error:` line without the usage block."""
+    replaying = False
+
+    def error(self, message):
+        if self.replaying:
+            raise ValueError(message)
+        super().error(message)
+
+
 def _add_graph_args(sub):
     grp = sub.add_mutually_exclusive_group(required=True)
     grp.add_argument("--star", type=int, metavar="N")
@@ -231,7 +229,7 @@ def _add_graph_args(sub):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cvgraphsense",
         description="Fisher information of continuous-variable graph-state probes")
     parser.add_argument("--manifest", metavar="PATH",
@@ -291,7 +289,7 @@ def _manifest_from_args(args):
     the parser's order."""
     params = {key: val for key, val in vars(args).items()
               if key not in ("manifest", "command", "save_manifest")}
-    if params.get("edges") is not None:
+    if getattr(args, "edges", None) is not None:
         # a replay from another working directory must find the same file
         params["edges"] = os.path.abspath(params["edges"])
     return {"command": args.command, "parameters": params}
@@ -308,6 +306,59 @@ def _validate_fi_angles(args, parser):
             parser.error("provide both --alpha and --beta, or --optimize")
 
 
+def _replayed_args(parser, path):
+    """Parse a manifest as the argv that records its parameters, read off the
+    command's own subparser actions: the parser stays the only parameter list.
+
+    A value must have the JSON type the parser produces: a bool for a flag, a
+    str for an untyped argument, a number (a list of them for several values)
+    for a typed one. null means the parser's default; other keys are rejected.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot load manifest: {exc}") from None
+    # only these keys are read; older manifests also repeat output path and seed
+    if not isinstance(doc, dict) or not isinstance(doc.get("parameters"), dict):
+        raise ValueError("cannot load manifest: 'parameters' is not a JSON object")
+    command, params = doc.get("command"), dict(doc["parameters"])
+    commands = next(a.choices for a in parser._actions if a.dest == "command")
+    if not isinstance(command, str) or command not in commands:
+        raise ValueError(f"unknown manifest command {json.dumps(command)}")
+    sub, argv = commands[command], [command]
+    number = (int, float)  # JSON numbers; a bool is not one
+    for action in [a for a in sub._actions if a.dest not in ("help", "save_manifest")]:
+        value = params.pop(action.dest, None)
+        if value is None:
+            continue
+        if action.nargs == 0:
+            kind, ok = "bool", isinstance(value, bool)
+        elif action.type is None:
+            kind, ok = "str", isinstance(value, str)
+        elif isinstance(action.nargs, int):
+            kind = f"a list of {action.nargs} numbers"
+            ok = (isinstance(value, list) and len(value) == action.nargs
+                  and all(type(v) in number for v in value))
+        else:
+            kind, ok = "a number", type(value) in number
+        if not ok:
+            raise ValueError(f"invalid manifest parameter: expected {kind} for "
+                             f"{action.dest!r}, got {json.dumps(value)}")
+        opt = action.option_strings[:1]
+        if isinstance(value, list):
+            argv += opt + [str(v) for v in value]
+        elif isinstance(value, bool):
+            argv += opt if value else []
+        else:  # one token, so that a value such as "-1,2" stays a value
+            argv.append(f"{opt[0]}={value}" if opt else value)
+    if params:
+        raise ValueError(f"invalid manifest parameter: {command} has no parameter "
+                         f"{next(iter(params))!r}")
+    parser.replaying = sub.replaying = True
+    return parser.parse_args(argv)
+
+
 def _run(command, params):
     """Run one command; bad input, a missing file, overflow or exhausted memory exits 2.
 
@@ -319,8 +370,8 @@ def _run(command, params):
             return RUNNERS[command](params, sys.stdout)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-    except OverflowError as exc:
-        print(f"error: the inputs overflow double precision: {exc}", file=sys.stderr)
+    except OverflowError:
+        print("error: the inputs overflow double precision", file=sys.stderr)
     except MemoryError as exc:
         print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
     return 2
@@ -329,34 +380,15 @@ def _run(command, params):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-
-    if args.manifest:
-        try:
-            with open(args.manifest, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-            if not isinstance(doc, dict):
-                raise ValueError("not a JSON object")
-            # only these keys are read; older manifests also repeat the output
-            # path and seed at the top level
-            command, params = str(doc["command"]), dict(doc["parameters"])
-        except (OSError, KeyError, TypeError, ValueError) as exc:
-            print(f"error: cannot load manifest: {exc}", file=sys.stderr)
-            return 2
-        if command not in RUNNERS:
-            print(f"error: unknown manifest command {command!r}", file=sys.stderr)
-            return 2
-        try:
-            return _run(command, params)
-        except KeyError as exc:
-            print(f"error: manifest lacks parameter {exc}", file=sys.stderr)
-        except TypeError as exc:
-            print(f"error: invalid manifest parameter: {exc}", file=sys.stderr)
+    try:
+        if args.manifest:
+            args = _replayed_args(parser, args.manifest)
+        elif not args.command:
+            parser.error("a subcommand or --manifest is required")
+        _validate_fi_angles(args, parser)
+    except ValueError as exc:  # only a replay's parser raises
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if not args.command:
-        parser.error("a subcommand or --manifest is required")
-    _validate_fi_angles(args, parser)
-
     manifest = _manifest_from_args(args)
     if args.save_manifest:
         with open(args.save_manifest, "w", encoding="utf-8") as fh:

@@ -117,12 +117,17 @@ def _moments(g: Graph, r, f, phi, theta, modality):
     return sigma, root, d_sigma, None
 
 
-def _check_moments_query(g: Graph, r, f, phi, setting, modality):
-    """Validate one moments query; returns (r, f, phi, theta[None])."""
+def _moments_view(g: Graph, r, f, phi, setting, modality):
+    """Validate one moments query and return its `_moments` as MeasurementMoments."""
     r, f, phi = check_r(r), check_f(f, g.n, modality), check_finite(phi, "phi")
     if setting.theta.shape != (g.n,):
         raise ValueError(f"theta must have length {g.n}")
-    return r, f, phi, setting.theta[None]
+    sigma, root, d_sigma, d_omega = _moments(g, r, f, phi, setting.theta[None], modality)
+    if modality == "phase":
+        return MeasurementMoments(omega=np.zeros(g.n), sigma_m=sigma[0], d_omega=np.zeros(g.n),
+                                  d_sigma=d_sigma[0], sigma_root=root[0])
+    return MeasurementMoments(omega=phi * d_omega[0], sigma_m=sigma[0], d_omega=d_omega[0],
+                              d_sigma=np.zeros((g.n, g.n)), sigma_root=root[0])
 
 
 def phase_measurement_moments(g: Graph, r, f, phi, setting: HomodyneSetting) -> MeasurementMoments:
@@ -131,11 +136,7 @@ def phase_measurement_moments(g: Graph, r, f, phi, setting: HomodyneSetting) -> 
     omega = 0; sigma_M and its analytic derivative d sigma_M / d phi depend
     on the angles only through theta - f phi.
     """
-    r, f, phi, theta = _check_moments_query(g, r, f, phi, setting, "phase")
-    sigma, root, d_sigma, _ = _moments(g, r, f, phi, theta, "phase")
-    return MeasurementMoments(omega=np.zeros(g.n), sigma_m=sigma[0],
-                              d_omega=np.zeros(g.n), d_sigma=d_sigma[0],
-                              sigma_root=root[0])
+    return _moments_view(g, r, f, phi, setting, "phase")
 
 
 def displacement_measurement_moments(g: Graph, r, f, phi, setting: HomodyneSetting) -> MeasurementMoments:
@@ -144,11 +145,7 @@ def displacement_measurement_moments(g: Graph, r, f, phi, setting: HomodyneSetti
     omega_i = phi (sin(theta_i) f_{n+i} - cos(theta_i) f_i); sigma_M is the
     phi-independent covariance of the measured quadratures, so d_sigma = 0.
     """
-    r, f, phi, theta = _check_moments_query(g, r, f, phi, setting, "displacement")
-    sigma, root, _, d_omega = _moments(g, r, f, phi, theta, "displacement")
-    return MeasurementMoments(omega=phi * d_omega[0], sigma_m=sigma[0],
-                              d_omega=d_omega[0], d_sigma=np.zeros((g.n, g.n)),
-                              sigma_root=root[0])
+    return _moments_view(g, r, f, phi, setting, "displacement")
 
 
 def _fisher(root, d_sigma=None, d_omega=None):
@@ -193,12 +190,15 @@ def _is_star(g: Graph):
     return bool(np.all(a[0, 1:] == 1) and not np.any(a[1:, 1:]))
 
 
-def _check_ansatz(g: Graph, r, f, phi, modality):
-    """Validate a two-angle star query (star, then r, then f, then phi);
-    returns (r, f, phi) as floats."""
+def _ansatz(g: Graph, r, f, phi, modality):
+    """Validate a two-angle star query (star, then r, then f, then phi); returns
+    (r, f, phi, fi) with fi(alpha, beta) on the sector route when the leaves
+    share one responsivity, else on the dense route."""
     if not _is_star(g):
         raise ValueError("angle ansatz requires a star graph with hub at vertex 1")
-    return check_r(r), check_f(f, g.n, modality), check_finite(phi, "phi")
+    r, f, phi = check_r(r), check_f(f, g.n, modality), check_finite(phi, "phi")
+    return r, f, phi, (_sector_fi_function(g.n, r, f, phi, modality)
+                       or _dense_fi_function(g, r, f, phi, modality))
 
 
 def _sector_fi_function(n, r, f, phi, modality):
@@ -311,11 +311,8 @@ def fi_star_ansatz(g: Graph, r, f, phi, alpha, beta, modality) -> float:
     Leaves of one responsivity take the O(1) sector route of
     `_sector_fi_function`; otherwise the dense moments are built.
     """
-    r, f, phi = _check_ansatz(g, r, f, phi, modality)
-    alpha, beta = check_finite(alpha, "alpha"), check_finite(beta, "beta")
-    fi = (_sector_fi_function(g.n, r, f, phi, modality)
-          or _dense_fi_function(g, r, f, phi, modality))
-    return float(fi(alpha, beta))
+    *_, fi = _ansatz(g, r, f, phi, modality)
+    return float(fi(check_finite(alpha, "alpha"), check_finite(beta, "beta")))
 
 
 def saturate_displacement(g: Graph, r, f):
@@ -365,9 +362,7 @@ def optimize_angles(g: Graph, r, f, phi):
     from the leaders and once more, tightly, from the winner, with FI
     tolerances relative to the best candidate's value.
     """
-    r, f, phi = _check_ansatz(g, r, f, phi, "phase")
-    fi = (_sector_fi_function(g.n, r, f, phi, "phase")
-          or _dense_fi_function(g, r, f, phi, "phase"))
+    r, f, phi, fi = _ansatz(g, r, f, phi, "phase")
 
     grid = np.linspace(0.0, TWO_PI, 64, endpoint=False)
     aa, bb = np.meshgrid(grid, grid, indexing="ij")

@@ -166,3 +166,38 @@ def test_manifest_replay_exit_codes_and_output(doc):
     assert not NON_FINITE.search(out.getvalue()), (doc, out.getvalue())
     if code == 2:
         assert err.getvalue().splitlines()[-1].startswith("error: "), (doc, err.getvalue())
+
+
+def _run_in(argv):
+    """main(argv) with stdout captured; returns (exit code, stdout)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, out.getvalue()
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(ARGV, st.booleans())
+def test_saved_manifest_replays_identically(argv, to_file):
+    # a run that got past the parser, replayed from its manifest, repeats its
+    # exit code, its stdout and the file it wrote
+    if to_file and argv[0] == "figure":
+        argv = argv + ["--output", "out.txt"]
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            code, out = _run_in(argv + ["--save-manifest", "m.json"])
+            if code not in (0, 1):
+                return
+            written = open("out.txt").read() if os.path.exists("out.txt") else None
+            if written is not None:
+                os.remove("out.txt")
+            replay_code, replay_out = _run_in(["--manifest", "m.json"])
+            replay_written = open("out.txt").read() if os.path.exists("out.txt") else None
+        finally:
+            os.chdir(cwd)
+    assert (replay_code, replay_out, replay_written) == (code, out, written), argv
