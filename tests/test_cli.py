@@ -181,41 +181,76 @@ def test_fi_star_ansatz_still_requires_star(capsys, modality, angles):
     assert err == "error: angle ansatz requires a star graph with hub at vertex 1\n"
 
 
-def test_fi_optimize_displacement_loads_no_scipy():
+def _is_pinned_phase_optimum(payload):
+    assert payload["value"] == pytest.approx(491.4313730005492, rel=1e-12)
+    # twin optima (pi/2 +- d, +-beta) tie in FI; the tie-break returns the
+    # one with the smaller beta mod pi, and the angles of an optimum are
+    # resolved to about 1e-8
+    assert payload["alpha"] == pytest.approx(1.5710873, abs=1e-6)
+    assert payload["beta"] == pytest.approx(0.1345638, abs=1e-6)
+    return True
+
+
+# each command runs in a fresh interpreter, which must not load scipy
+NO_SCIPY_COMMANDS = {
+    "graph-info": (["graph-info", "--star", "5"], 0,
+                   lambda out: json.loads(out)["n"] == 5),
+    "qfi": (["qfi", "phase", "--star", "3", "--r", "1"], 0,
+            lambda out: json.loads(out)["value"] > 0),
+    "fi-phase-optimize": (["fi", "phase", "--star", "4", "--r", "1", "--optimize"], 0,
+                          lambda out: _is_pinned_phase_optimum(json.loads(out))),
+    "fi-displacement-optimize": (["fi", "displacement", "--star", "4", "--r", "1", "--optimize"],
+                                 0, lambda out: json.loads(out)["ratio"] >= 1 - 1e-9),
+    "fi-zero-f": (["fi", "phase", "--star", "3", "--r", "1", "--f", "0", "--optimize"], 2,
+                  lambda out: out == ""),
+    **{fig: (["figure", fig, "--n-max", "8", "--json"], 0, lambda out: len(json.loads(out)) > 0)
+       for fig in ("fig2", "fig3", "fig4", "fig5")},
+    "verify": (["verify", "all", "--cases", "5"], 0,
+               lambda out: all(rep["passed"] for rep in json.loads(out))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_SCIPY_COMMANDS))
+def test_cli_loads_no_scipy(name):
+    argv, code, check = NO_SCIPY_COMMANDS[name]
     src = str(Path(cli.__file__).resolve().parents[1])
     script = (
         "import sys\n"
-        "import cvgraphsense.cli\n"
-        "code = cvgraphsense.cli.main(['fi', 'displacement', '--star', '4', '--r', '1',"
-        " '--optimize'])\n"
+        "import cvgraphsense, cvgraphsense.cli\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        f"code = cvgraphsense.cli.main({argv!r})\n"
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "assert code == 0 and not loaded, (code, loaded)\n"
+        f"assert code == {code} and not loaded, (code, loaded)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["ratio"] >= 1 - 1e-9
+    assert check(proc.stdout)
+    if code == 2:
+        assert proc.stderr == "error: f must have at least one nonzero entry\n"
+    else:
+        assert proc.stderr == ""
 
 
-def test_fi_zero_f_fails_before_the_optimizer_loads_scipy():
-    src = str(Path(cli.__file__).resolve().parents[1])
-    script = (
-        "import sys\n"
-        "import cvgraphsense.cli\n"
-        "code = cvgraphsense.cli.main(['fi', 'phase', '--star', '3', '--r', '1', '--f', '0',"
-        " '--optimize'])\n"
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "assert code == 2 and not loaded, (code, loaded)\n"
-    )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == ""
-    assert proc.stderr == "error: f must have at least one nonzero entry\n"
+@pytest.mark.parametrize("argv, angles, reachable", [
+    (("--star", "7", "--r", "2.2413", "--phi", "5.0081",
+      "--f=-1.9789,1.2849,1.2849,1.2849,1.2849,1.2849,1.2849"), ("1.472637", "2.110114"),
+     521061.44075),
+    (("--star", "8", "--r", "1.9889", "--phi", "5.9237",
+      "--f=-1.3733,1.2514,-0.3556,1.1332,1.5671,1.968,-0.9358,-0.1882"), ("2.791937", "1.245682"),
+     61632.48952),
+])
+def test_fi_optimize_reaches_the_better_basin(capsys, argv, angles, reachable):
+    # the FI at these fixed angles bounds the optimum from below, on a star
+    # with leaves of one responsivity and on one with leaves of several
+    code, out, _ = run_cli(capsys, "fi", "phase", *argv, "--alpha", angles[0], "--beta", angles[1])
+    assert code == 0
+    assert json.loads(out)["value"] == pytest.approx(reachable, rel=1e-9)
+    code, out, err = run_cli(capsys, "fi", "phase", *argv, "--optimize")
+    assert code == 0 and err == ""
+    assert json.loads(out)["value"] >= reachable * (1 - 1e-9)
 
 
 def test_fi_fixed_angles_bounded_by_qfi(capsys):
