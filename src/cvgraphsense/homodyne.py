@@ -205,22 +205,24 @@ def _sector_fi_function(n, r, f, phi, modality):
 
     The ansatz gives sigma_M and d sigma_M the form hub + (a I + b J) on the
     m = n - 1 leaves, so both are block diagonal in the basis (hub,
-    symmetric leaf mode, m - 1 antisymmetric leaf modes): a 2x2 sector S2 and
-    the (m - 1)-fold eigenvalue a. With x = e^{2r}, p = sin(psi),
-    q = cos(psi) and psi = theta - f phi (psi = theta for displacement),
+    symmetric leaf mode, m - 1 antisymmetric leaf modes): a 2x2 sector
+    S2 = [[h, s12], [s12, s22]] and the (m - 1)-fold eigenvalue a. With
+    x = e^{2r}, p = sin(psi), q = cos(psi), psi = theta - f phi (psi = theta
+    for displacement), h = x q_H^2 m / 2 + (x p_H^2 + q_H^2 / x) / 2,
+    s12 = x sqrt(m) (q_H p_L + p_H q_L) / 2 and a = (x p_L^2 + q_L^2 / x) / 2.
+    As `_fisher` whitens by QR, S2 is whitened by its Cholesky factor
+    [[1, 0], [t, 1]] diag(sqrt(h), sqrt(det / h)), t = s12 / h, into squares:
 
-        S2 = [[h, c sqrt(m)], [c sqrt(m), a + b m]],
-        h = x q_H^2 m / 2 + (x p_H^2 + q_H^2 / x) / 2,
-        c = x (q_H p_L + p_H q_L) / 2,  a = (x p_L^2 + q_L^2 / x) / 2,
-        b = x q_L^2 / 2,
+        FI_disp = d1^2 / h + h (d2 - t d1)^2 / det,
+        FI_phase = (dh / h)^2 / 2 + w12^2 / det + (h w22 / det)^2 / 2
+                   + (m - 1) (da / a)^2 / 2,
 
-    FI_phase = Tr[(S2^-1 dS2)^2] / 2 + (m - 1) (da / a)^2 / 2 and
-    FI_disp = d2^T S2^-1 d2 with d2 = (p_H f_n - q_H f_0,
-    sqrt(m) (p_L f_{n+1} - q_L f_1)). det S2 is a sum of non-negative terms
-    (sigma_M = x L L^T / 2 + diag(q)^2 / (2x)) and is evaluated that way.
-    Returns fi(alpha, beta) on floats or arrays, or None when the leaves'
-    responsivities differ; fi is holomorphic, so complex angles give a
-    complex step.
+    with d = (p_H f_n - q_H f_0, sqrt(m) (p_L f_{n+1} - q_L f_1)), and
+    w12 = d12 - t dh, w22 = d22 - t (d12 + w12) from dS2. det S2 is a sum of
+    non-negative terms (sigma_M = x L L^T / 2 + diag(q)^2 / (2x)) and is
+    evaluated that way. Returns fi(alpha, beta) on floats or arrays, or None
+    when the leaves' responsivities differ; fi is holomorphic, so complex
+    angles give a complex step.
     """
     if modality == "phase":
         if np.any(f[1:] != f[-1]):
@@ -237,42 +239,31 @@ def _sector_fi_function(n, r, f, phi, modality):
     x = math.exp(2.0 * r)
 
     def fi(alpha, beta):
-        if isinstance(alpha, np.ndarray):
-            sin, cos = np.sin, np.cos
-        else:
-            sin, cos = math.sin, math.cos
-        ph, qh = sin(alpha - shift_h), cos(alpha - shift_h)
-        pl, ql = sin(beta - shift_l), cos(beta - shift_l)
+        ph, qh = np.sin(alpha - shift_h), np.cos(alpha - shift_h)
+        pl, ql = np.sin(beta - shift_l), np.cos(beta - shift_l)
         h = 0.5 * (x * (m * qh * qh + ph * ph) + qh * qh / x)
-        if modality == "displacement":
-            d1 = ph * fp_h - qh * fq_h
-            if m == 0:
-                return d1 * d1 / h
-            d2 = rm * (pl * fp_l - ql * fq_l)
-        else:
+        if modality == "phase":
             dph, dqh = -f_h * qh, f_h * ph
             dh = x * (m * qh * dqh + ph * dph) + qh * dqh / x
             if m == 0:
                 return 0.5 * (dh / h) ** 2
-        s12 = 0.5 * rm * x * (qh * pl + ph * ql)
-        a = 0.5 * (x * pl * pl + ql * ql / x)
-        s22 = a + 0.5 * m * x * ql * ql
+        t = 0.5 * rm * x * (qh * pl + ph * ql) / h
         lin = ph * pl - m * qh * ql
         det = (0.25 * x * x * lin * lin
                + 0.25 * (qh * qh * pl * pl + ql * ql * ph * ph + 2.0 * m * qh * qh * ql * ql)
                + 0.25 * qh * qh * ql * ql / (x * x))
         if modality == "displacement":
-            return (s22 * d1 * d1 - 2.0 * s12 * d1 * d2 + h * d2 * d2) / det
+            d1 = ph * fp_h - qh * fq_h
+            d2 = rm * (pl * fp_l - ql * fq_l)
+            return d1 * d1 / h + h * (d2 - t * d1) ** 2 / det
         dpl, dql = -f_l * ql, f_l * pl
         d12 = 0.5 * rm * x * (dqh * pl + qh * dpl + dph * ql + ph * dql)
         da = x * pl * dpl + ql * dql / x
         d22 = da + m * x * ql * dql
-        # adj(S2) dS2, whose squared trace over det^2 is Tr[(S2^-1 dS2)^2]
-        k11 = s22 * dh - s12 * d12
-        k12 = s22 * d12 - s12 * d22
-        k21 = h * d12 - s12 * dh
-        k22 = h * d22 - s12 * d12
-        return (0.5 * (k11 * k11 + 2.0 * k12 * k21 + k22 * k22) / (det * det)
+        w12 = d12 - t * dh
+        w22 = d22 - t * (d12 + w12)
+        a = 0.5 * (x * pl * pl + ql * ql / x)
+        return (0.5 * (dh / h) ** 2 + w12 * w12 / det + 0.5 * (h * w22 / det) ** 2
                 + 0.5 * (m - 1) * (da / a) ** 2)
 
     return fi

@@ -2,7 +2,7 @@
 
 Each suite draws randomized cases (plus forced structured graphs) and compares
 two routes to the same quantity: closed form vs covariance trace form for the
-phase QFI, four-term expansion vs quadratic form for the displacement QFI,
+phase QFI, sum of two squares vs quadratic form for the displacement QFI,
 photon-number formula vs covariance trace, and analytic moment derivatives vs
 central finite differences. Reports are deterministic given (case_count, seed).
 """
@@ -111,7 +111,7 @@ def run_phase_equivalence(case_count, seed) -> EquivalenceReport:
 
 
 def run_displacement_equivalence(case_count, seed) -> EquivalenceReport:
-    """Four-term displacement closed form vs the quadratic form."""
+    """Two-square displacement closed form vs the quadratic form."""
     return _compare("displacement_equivalence", case_count, seed, DISPLACEMENT_TOL, 2,
                     lambda g, r, f: (qfi_displacement_closed_form(g, r, f),
                                      qfi_displacement(graph_state_covariance(g, r), f)))

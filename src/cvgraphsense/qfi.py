@@ -8,7 +8,7 @@ needs no inverse; it is summed as 2 d^T (E o E) d + 2 sum_a d_a^2 E_aa with
 E = S - I/2, free of the O(1) cancellation as r -> 0.
 Displacement sensing shifts the state along a quadrature combination with
 coefficients f (length 2n); its QFI is the quadratic form 4 f^T cov f,
-with a four-term closed-form expansion for graph states.
+with a closed form for graph states that is a sum of two squares.
 
 The asymptotic benchmark expressions for star and separable probes are
 included for the scaling figures.
@@ -101,23 +101,19 @@ def qfi_displacement(state: GaussianState, f) -> float:
 
 
 def qfi_displacement_closed_form(g: Graph, r, f) -> float:
-    """Four-term closed form of the displacement QFI for a graph state.
+    """Closed form of the displacement QFI for a graph state, two squares:
 
-    F = 2 e^{2r} sum f_q^2 + 2 e^{-2r} sum f_p^2
-        + 4 e^{2r} f_q^T (A f_p) + 2 e^{2r} |A f_p|^2
-    where f = (f_q, f_p) in block order; f_p^T A^2 f_p = |A f_p|^2 as A is
-    symmetric, so A^2 is never formed.
+    F = 2 e^{2r} |f_q + A f_p|^2 + 2 e^{-2r} |f_p|^2
+
+    where f = (f_q, f_p) in block order. This is 4 f^T S f with 2S = M M^T,
+    and no term cancels, so along the squeezed nullifiers f_q = -A f_p it
+    keeps its digits where the quadratic form on S loses about e^{4r} eps.
     """
     r = check_r(r)
     f = check_f(f, g.n, "displacement")
-    n = g.n
-    fq, fp = f[:n], f[n:]
-    afp = g.adjacency.astype(float) @ fp
-    x = np.exp(2.0 * r)
-    return (2.0 * x * float(fq @ fq)
-            + 2.0 * np.exp(-2.0 * r) * float(fp @ fp)
-            + 4.0 * x * float(fq @ afp)
-            + 2.0 * x * float(afp @ afp))
+    fq, fp = f[:g.n], f[g.n:]
+    u = fq + g.adjacency.astype(float) @ fp
+    return 2.0 * np.exp(2.0 * r) * float(u @ u) + 2.0 * np.exp(-2.0 * r) * float(fp @ fp)
 
 
 def qfi(g: Graph, r, f, modality) -> float:

@@ -105,6 +105,19 @@ def test_qfi_displacement_empty(capsys):
     assert payload["value"] == pytest.approx(16.0)
 
 
+def test_qfi_displacement_nullifier_cross_check_fails(capsys):
+    # the closed form is exact along f_q = -A f_p, while 4 f^T S f loses about
+    # e^{4r} eps there: the value prints and the failed check exits 1
+    code, out, err = run_cli(capsys, "qfi", "displacement", "--star", "3", "--r", "5",
+                             "--f=0,-1,-1,1,0,0")
+    payload, message = out.rsplit("}\n", 1)
+    assert code == 1
+    value = json.loads(payload + "}")["value"]
+    assert value == pytest.approx(2.0 * np.exp(-10.0), rel=1e-12, abs=0.0)
+    assert message == "cross-check failed: relative difference 2.656e-08\n"
+    assert err == ""
+
+
 def test_qfi_target_photon_budget(capsys):
     code, out, _ = run_cli(capsys, "qfi", "phase", "--star", "3",
                            "--target-N", "11.532349635556097")

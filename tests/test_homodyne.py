@@ -318,7 +318,41 @@ def test_sector_matches_dense_route(n, modality):
         alpha, beta = rng.uniform(0.0, 2 * np.pi, 2)
         sector = fi_star_ansatz(g, r, f, phi, alpha, beta, modality)
         assert sector == pytest.approx(_dense_fi(g, r, f, phi, alpha, beta, modality),
-                                       rel=1e-9)
+                                       rel=1e-11)
+
+
+# phase sensing near the optimum at large r with hub and leaf responsivities of
+# opposite sign: (n, r, phi, f_hub, f_leaf, alpha, beta)
+RIDGE_POINTS = [
+    (7, 2.9404, 2.5672, 1.4192, -1.1293, 2.460103, 2.200919),
+    (8, 3.9691075979137382, 3.742695996832911, -0.8733664341557863, 0.9383495819350549,
+     1.8265544015326582, 2.2819874485592484),
+]
+
+
+@pytest.mark.parametrize("n, r, phi, f_hub, f_leaf, alpha, beta", RIDGE_POINTS,
+                         ids=["star7", "star8"])
+def test_sector_matches_dense_route_near_optimum(n, r, phi, f_hub, f_leaf, alpha, beta):
+    # the sector terms reach e^{4r} here: any products that cancel in
+    # Tr[(S2^-1 dS2)^2] lose digits (3e-10 and 3e-8 relative for an adjugate form)
+    g = star_graph(n)
+    f = np.array([f_hub] + [f_leaf] * (n - 1))
+    assert fi_star_ansatz(g, r, f, phi, alpha, beta, "phase") == pytest.approx(
+        _dense_fi(g, r, f, phi, alpha, beta, "phase"), rel=1e-12)
+
+
+@pytest.mark.xfail(strict=True, reason="the Newton ascent stops short on the narrow ridge "
+                   "psi_hub = psi_leaf at r = 4 and warns")
+def test_optimize_reaches_narrow_ridge_maximum():
+    # Nelder-Mead on the sector reaches 231989799.414 at (1.805011, 2.302528),
+    # where psi = angle - f phi mod pi is 1.9322 on hub and leaves; the dense
+    # route agrees there within 1e-15
+    n, r, phi, f_hub, f_leaf, _, _ = RIDGE_POINTS[1]
+    f = np.array([f_hub] + [f_leaf] * (n - 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, fi = optimize_angles(star_graph(n), r, f, phi)
+    assert fi >= 231989799.41 * (1.0 - 1e-9)
 
 
 def test_nonuniform_leaves_take_dense_route():

@@ -211,6 +211,15 @@ def test_displacement_closed_vs_quadratic_random():
         assert abs(closed - quad) / denom < 1e-9
 
 
+@pytest.mark.parametrize("r", [3.0, 5.0, 8.0, 10.0])
+def test_displacement_closed_form_along_nullifiers(r):
+    # f_q = -A f_p on star(3): only the antisqueezed square vanishes, so the
+    # QFI is 2 e^{-2r} |f_p|^2 exactly; an expansion in e^{2r} terms cancels
+    f = [0.0, -1.0, -1.0, 1.0, 0.0, 0.0]
+    assert qfi_displacement_closed_form(star_graph(3), r, f) == pytest.approx(
+        2.0 * np.exp(-2.0 * r), rel=1e-12, abs=0.0)
+
+
 def test_displacement_rejects_wrong_length():
     state = graph_state_covariance(star_graph(3), 1.0)
     with pytest.raises(ValueError):
