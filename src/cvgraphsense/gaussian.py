@@ -74,7 +74,8 @@ def graph_state_covariance(g: Graph, r) -> GaussianState:
     cov = np.zeros((2 * n, 2 * n))
     qq, qp, pq, pp = cov[:n, :n], cov[:n, n:], cov[n:, :n], cov[n:, n:]
     np.fill_diagonal(qq, 0.5 * x)
-    np.multiply(g.adjacency, 0.5 * x, out=qp)
+    np.take(g.rows, g.classes, axis=0, out=qp, mode="clip")  # A = U[c], unbuffered
+    qp *= 0.5 * x
     pq[...] = qp
     np.multiply(adjacency_squared(g), x, out=pp)
     pp[np.diag_indices(n)] += np.exp(-2.0 * r)

@@ -6,8 +6,6 @@ scalar figures of a graph control the sensing performance of the resulting
 state: chi_phase = Tr(A^4)/Tr(A^2)^2 and chi_disp = sum_ij (A^2)_ij / Tr(A^2).
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 
@@ -15,72 +13,117 @@ class EdgelessGraphError(ValueError):
     """Raised when a trace ratio is requested for a graph with no edges."""
 
 
-@dataclass(frozen=True)
 class Graph:
-    """Undirected unweighted graph given by its 0/1 adjacency matrix."""
+    """Undirected unweighted graph on n vertices, stored as the row classes of A.
 
-    n: int
-    adjacency: np.ndarray
-    label: str = field(default="custom", compare=False)
+    Vertices with identical rows of the 0/1 adjacency matrix A (false twins)
+    form one class: `classes` (c) numbers them in order of first occurrence,
+    `rows` (U, float64) holds one row per class and `gram` is G = U U^T, so
+    A = U[c] and (A^2)_jk = G[c[j], c[k]], exact below 2^53. All are set at
+    construction, read-only. u = 2 on a star, 1 on the empty graph, l on the
+    complete l-partite graph: the families build these in O(u n). Graph(n,
+    adjacency, label) hashes the rows of a dense A once, O(n^2); without twins
+    c is the identity and u = n. Equality compares n and A only.
+    """
 
-    def __post_init__(self):
-        a = np.asarray(self.adjacency, dtype=np.int64)
-        if a.shape != (self.n, self.n):
-            raise ValueError(f"adjacency must be {self.n}x{self.n}, got {a.shape}")
-        if not np.array_equal(a, a.T):
+    def __init__(self, n, adjacency, label="custom"):
+        a = np.asarray(adjacency, dtype=np.int64)
+        if a.shape != (n, n):
+            raise ValueError(f"adjacency must be {n}x{n}, got {a.shape}")
+        if not a.size or a.view(np.uint64).max() <= 1:  # negative entries wrap to > 1
+            a = a.astype(bool)  # other entries keep their values for validation
+        first = {}  # key: the row's bytes; value: its first vertex
+        raw = [first.setdefault(row.tobytes(), j) for j, row in enumerate(a)]
+        reps = np.array(list(first.values()), dtype=np.intp)
+        # first vertices ascend, so their rank numbers the classes 0..u-1
+        self._store(n, a.take(reps, axis=0), reps.searchsorted(raw), reps, label)
+
+    def _store(self, n, rows, classes, reps, label):
+        """Validate and set A = rows[classes], reps the first vertex of each class."""
+        self.n, self.label = n, label
+        self.__post_init__(rows, classes, reps)
+        self.rows, self.classes = rows.astype(float), classes
+        self.gram = self.rows @ self.rows.T
+        self._degrees = self.gram.diagonal().astype(np.int64).take(classes)
+        for array in (self.rows, self.classes, self.gram, self._degrees):
+            array.flags.writeable = False
+        return self
+
+    def __post_init__(self, rows, classes, reps):
+        """Validation in O(u n), timed by perfbench as graph.validate. With M =
+        U[:, reps], A = U[c] is symmetric iff U = M.T[:, c]; then A_jj = M[c[j], c[j]]."""
+        m = rows.take(reps, axis=1)
+        if not (rows == m.T.take(classes, axis=1)).all():
             raise ValueError("adjacency must be symmetric")
-        if np.any(np.diag(a) != 0):
+        if m.diagonal().any():
             raise ValueError("adjacency must have zero diagonal (no self-loops)")
-        if a.size and (a.min() < 0 or a.max() > 1):
+        if rows.dtype != bool and (rows.min() < 0 or rows.max() > 1):
             raise ValueError("adjacency entries must be 0 or 1")
-        object.__setattr__(self, "adjacency", a)
+
+    def __eq__(self, other):  # len(classes) == n
+        return (isinstance(other, Graph) and np.array_equal(self.classes, other.classes)
+                and np.array_equal(self.rows, other.rows))
+
+    def __hash__(self):
+        return hash((self.classes.tobytes(), self.rows.tobytes()))
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        """The dense int64 matrix A = U[c], expanded anew on each read."""
+        return self.rows.astype(np.int64).take(self.classes, axis=0)
 
     @property
     def edge_count(self) -> int:
-        return int(self.adjacency.sum()) // 2
+        return int(self._degrees.sum()) // 2
 
     def degrees(self) -> np.ndarray:
-        return self.adjacency.sum(axis=1)
+        return self._degrees
 
 
 def graph_from_edges(n, edges, label="custom") -> Graph:
-    """Build a graph from 1-based unordered vertex pairs.
+    """Build a graph from 1-based unordered vertex pairs; duplicates collapse.
 
-    Duplicate pairs collapse to a single edge. Self-loops and out-of-range
-    indices are rejected.
+    The first self-loop, or pair out of range or not integral, raises ValueError.
     """
     if n < 1:
         raise ValueError("vertex count must be positive")
+    try:
+        e = np.array(edges, dtype=np.int64).reshape(len(edges), 2)
+    except OverflowError:  # beyond int64, hence out of range: compare exactly
+        e = np.array(edges, dtype=object).reshape(len(edges), 2)
+    bad = np.flatnonzero((e[:, 0] == e[:, 1])
+                         | ((e < 1) | (e > n) | (e != np.reshape(edges, e.shape))).any(axis=1))
+    if bad.size:
+        i, j = edges[bad[0]]
+        raise ValueError(f"self-loop ({i},{j}) is not allowed" if i == j
+                         else f"edge ({i},{j}) out of range for n={n}")
     a = np.zeros((n, n), dtype=np.int64)
-    for i, j in edges:
-        if i == j:
-            raise ValueError(f"self-loop ({i},{j}) is not allowed")
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise ValueError(f"edge ({i},{j}) out of range for n={n}")
-        a[i - 1, j - 1] = 1
-        a[j - 1, i - 1] = 1
+    a[e[:, 0] - 1, e[:, 1] - 1] = a[e[:, 1] - 1, e[:, 0] - 1] = 1
     return Graph(n, a, label)
 
 
+def _complete_multipartite(classes, reps, label) -> Graph:
+    """The graph whose vertices are adjacent exactly when their classes differ."""
+    rows = classes != np.arange(len(reps))[:, None]
+    return Graph.__new__(Graph)._store(len(classes), rows, classes, reps, label)
+
+
 def empty_graph(n) -> Graph:
-    """The edgeless graph on n vertices (separable probe)."""
+    """The edgeless graph on n vertices (separable probe): one class."""
     if n < 1:
         raise ValueError("vertex count must be positive")
-    return Graph(n, np.zeros((n, n), dtype=np.int64), f"empty({n})")
+    return _complete_multipartite(np.zeros(n, dtype=np.intp), [0], f"empty({n})")
 
 
 def star_graph(n) -> Graph:
-    """Star on n >= 2 vertices, vertex 1 being the hub."""
+    """Star on n >= 2 vertices, vertex 1 being the hub: classes hub and leaves."""
     if n < 2:
         raise ValueError("star graph needs n >= 2")
-    a = np.zeros((n, n), dtype=np.int64)
-    a[0, 1:] = 1
-    a[1:, 0] = 1
-    return Graph(n, a, f"star({n})")
+    return _complete_multipartite(np.arange(n).clip(max=1), [0, 1], f"star({n})")
 
 
 def multipartite_graph(l, m) -> Graph:
-    """Complete l-partite graph with parts of equal size m.
+    """Complete l-partite graph with parts of equal size m, one class each.
 
     Vertices in different parts are adjacent, vertices in the same part are
     not. Equivalently A = (J_l - I_l) (x) J_m. The nonzero eigenvalues are
@@ -90,9 +133,8 @@ def multipartite_graph(l, m) -> Graph:
         raise ValueError("multipartite graph needs l >= 2 parts")
     if m < 1:
         raise ValueError("multipartite graph needs part size m >= 1")
-    block = np.ones((l, l), dtype=np.int64) - np.eye(l, dtype=np.int64)
-    a = np.kron(block, np.ones((m, m), dtype=np.int64))
-    return Graph(l * m, a, f"multipartite({l},{m})")
+    return _complete_multipartite(np.arange(l * m) // m, np.arange(0, l * m, m),
+                                  f"multipartite({l},{m})")
 
 
 def rectangular_graph(m) -> Graph:
@@ -104,82 +146,39 @@ def rectangular_graph(m) -> Graph:
     """
     if m < 2:
         raise ValueError("rectangular graph needs m >= 2")
-    n = 4 * m
-    a = np.zeros((n, n), dtype=np.int64)
-    idx = np.arange(n)
-    for off in (1, 4):
-        a[idx[:-off], idx[off:]] = 1
-        a[idx[off:], idx[:-off]] = 1
-    return Graph(n, a, f"rectangular({m})")
+    i = np.arange(1, 4 * m + 1)
+    edges = np.concatenate([np.stack((i[:-off], i[off:]), axis=1) for off in (1, 4)])
+    return graph_from_edges(4 * m, edges, f"rectangular({m})")
 
 
 def trace_power(g: Graph, k) -> int:
     """Tr(A^k), exact for the 0/1 adjacency matrices handled here.
 
-    Powers are evaluated in float64 (BLAS); entries stay far below 2^53 for
-    any graph this package constructs, so the rounded result is exact.
-    Tr(A^4) = sum_jk (A^2)_jk^2 is summed over the row classes of A (see
-    _row_classes) as w^T (G o G) w, w the class sizes.
+    Summed over the row classes of g (Graph), w the class sizes: Tr(A^2) is the
+    degree sum, Tr(A^4) = w^T (G o G) w and otherwise Tr((diag(w) M)^k), as
+    A = P M P^T (P the class indicator, M = U[:, reps]); exact below 2^53.
     """
     if k < 1:
         raise ValueError("power must be a positive integer")
-    if k == 1:
-        return 0
     if k == 2:
-        return int(g.adjacency.sum())
-    if k == 3:
-        return int(round(float(np.sum(g.adjacency * adjacency_squared(g)))))
+        return int(g.degrees().sum())
+    w = np.bincount(g.classes).astype(float)
     if k == 4:
-        _, gram, cls = _row_classes(g)
-        w = np.bincount(cls).astype(float)
-        return int(round(float(w @ np.square(gram) @ w)))
-    a = g.adjacency.astype(float)
-    return int(round(float(np.trace(np.linalg.matrix_power(a, k)))))
-
-
-def _row_classes(g: Graph):
-    """(U, G, c): the distinct rows of A, their Gram matrix, the class of each row.
-
-    Vertices with identical rows (false twins: the same neighbourhood) form
-    one class. c[j] numbers the class of vertex j in order of first
-    occurrence and U (float64) holds one row per class, so A = U[c] and
-    (A^2)_jk = G[c[j], c[k]] with G = U U^T. Rows are grouped by hashing
-    their packed bits, O(n^2); G then costs O(u^2 n) for u classes: u = 2 on
-    a star, 1 on the empty graph, l on the complete l-partite graph, and n on
-    a graph without twins, where c is the identity and G is A A^T itself.
-    Every entry of G is an integer below 2^53, so G is exact.
-    """
-    # packing a bool copy is several times faster than packing int64 directly
-    packed = np.packbits(g.adjacency.astype(bool), axis=1)
-    width, buf = packed.shape[1], packed.tobytes()
-    # key: the packed row; value: its first vertex
-    first = {}
-    raw = np.array([first.setdefault(buf[j * width:(j + 1) * width], j)
-                    for j in range(g.n)], dtype=np.intp)
-    reps = np.array(list(first.values()), dtype=np.intp)
-    rows = g.adjacency.take(reps, axis=0).astype(float)
-    # first vertices ascend, so their rank numbers the classes 0..u-1
-    return rows, rows @ rows.T, reps.searchsorted(raw)
+        return int(round(float(w @ np.square(g.gram) @ w)))
+    wm = w[:, None] * g.rows[:, np.unique(g.classes, return_index=True)[1]]
+    return int(round(float(np.trace(np.linalg.matrix_power(wm, k)))))
 
 
 def adjacency_squared(g: Graph) -> np.ndarray:
-    """A^2 in float64, exact for 0/1 adjacency matrices.
-
-    Expanded from the row-class Gram matrix of _row_classes, so it costs
-    O(n^2) on graphs with few distinct neighbourhoods. Without twins it is
-    A A^T, which numpy hands to the symmetric rank-k BLAS routine: half the
-    multiply-adds of a general product.
-    """
-    _, gram, cls = _row_classes(g)
-    if gram.shape[0] == g.n:
-        return gram
-    return gram.take(cls, axis=0).take(cls, axis=1)
+    """A^2 in float64, exact: the class Gram matrix G of g expanded in
+    O(n^2); without twins it is the read-only G = A A^T itself."""
+    c = g.classes
+    return g.gram if len(g.gram) == g.n else g.gram.take(c, axis=0).take(c, axis=1)
 
 
 def adjacency_square_sum(g: Graph) -> int:
     """Sum of all entries of A^2 (equals the sum of squared degrees)."""
-    deg = g.adjacency.sum(axis=1)
-    return int((deg * deg).sum())
+    return int(g.degrees() @ g.degrees())
 
 
 def chi_phase(g: Graph) -> float:

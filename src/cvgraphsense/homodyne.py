@@ -93,7 +93,7 @@ def _moments(g: Graph, r, f, phi, theta, modality):
     """
     n = g.n
     x = math.exp(2.0 * r)
-    a = g.adjacency.astype(float)
+    a = g.rows.take(g.classes, axis=0)
     psi = theta - f * phi if modality == "phase" else theta
     p, q = np.sin(psi), np.cos(psi)
     idx = np.arange(n)
@@ -184,9 +184,9 @@ def gaussian_fisher_information(m: MeasurementMoments) -> float:
 
 
 def _is_star(g: Graph):
-    """True for a star with hub at vertex 1; a lone mode is a star without leaves."""
-    a = g.adjacency
-    return bool(np.all(a[0, 1:] == 1) and not np.any(a[1:, 1:]))
+    """True for a star with hub at vertex 1; a lone mode is a star without leaves.
+    U[0] is the hub's row; if it reaches every vertex, U[1:] are the leaves'."""
+    return bool(np.all(g.rows[0, 1:] == 1) and not np.any(g.rows[1:, 1:]))
 
 
 def _ansatz(g: Graph, r, f, phi, modality):
@@ -314,15 +314,15 @@ def saturate_displacement(g: Graph, r, f):
     v = S^-1 delta makes the measured quadratures span v, so FI = QFI. Purity
     gives v = 4 Omega S f with f = (f_q, f_p), and S f = (x/2) (u, w) for
     x = e^{2r}, u = f_q + A f_p, w = A u + e^{-4r} f_p: theta = atan2(w, -u)
-    mod pi from two products with A (theta_j = 0 where u_j = w_j = 0). The FI
-    is evaluated at theta, by `fi_star_ansatz` on a star whose leaves share
-    one angle, otherwise through the dense moments.
+    mod pi from two products (U x)[c] = A x (theta_j = 0 where u_j = w_j = 0).
+    The FI is evaluated at theta, by `fi_star_ansatz` on a star whose leaves
+    share one angle, otherwise through the dense moments.
     """
     r, f = check_r(r), check_f(f, g.n, "displacement")
     n = g.n
     fq, fp = f[:n], f[n:]
-    u = fq + g.adjacency @ fp
-    w = g.adjacency @ u + math.exp(-4.0 * r) * fp
+    u = fq + (g.rows @ fp)[g.classes]
+    w = (g.rows @ u)[g.classes] + math.exp(-4.0 * r) * fp
     theta = np.mod(np.arctan2(w, -u), np.pi)
     theta[theta == np.pi] = 0.0  # a tiny negative angle rounds up to pi
     if _is_star(g) and np.all(theta[1:] == theta[1:2]):

@@ -17,7 +17,7 @@ included for the scaling figures.
 import numpy as np
 
 from .gaussian import GaussianState, check_f, check_r
-from .graph import Graph, _row_classes, trace_power
+from .graph import Graph, trace_power
 
 
 def qfi_phase_closed_form(g: Graph, r, f) -> float:
@@ -27,19 +27,18 @@ def qfi_phase_closed_form(g: Graph, r, f) -> float:
         + sum_jk (f_j^2 + e^{4r} f_j f_k) A_jk^2
         + (e^{4r}/2) sum_jk f_j f_k (A^2)_jk^2
 
-    Both sums run over the u row classes of A (graph._row_classes: A = U[c],
-    A^2 = G[c][:, c]) with w_c the sum of f over class c. A_jk^2 = A_jk turns
-    the second into (f o f).deg + e^{4r} w.(U f) and the third is
-    w^T (G o G) w, so the float arrays are u x n and u x u, not n x n.
+    Both sums run over the u row classes of g (A = U[c], A^2 = G[c][:, c],
+    see Graph) with w_c the sum of f over class c. A_jk^2 = A_jk turns the
+    second into (f o f).deg + e^{4r} w.(U f) and the third is w^T (G o G) w,
+    so the float arrays are u x n and u x u, not n x n.
     """
     r = check_r(r)
     f = check_f(f, g.n, "phase")
-    rows, gram, cls = _row_classes(g)
     e4r = np.exp(4.0 * r)
-    w = np.bincount(cls, weights=f)
+    w = np.bincount(g.classes, weights=f)
     term1 = 2.0 * np.sinh(2.0 * r) ** 2 * float(f @ f)
-    term2 = float(np.square(f) @ g.degrees()) + e4r * float(w @ (rows @ f))
-    term3 = 0.5 * e4r * float(w @ np.square(gram) @ w)
+    term2 = float(np.square(f) @ g.degrees()) + e4r * float(w @ (g.rows @ f))
+    term3 = 0.5 * e4r * float(w @ np.square(g.gram) @ w)
     return term1 + term2 + term3
 
 
@@ -105,14 +104,14 @@ def qfi_displacement_closed_form(g: Graph, r, f) -> float:
 
     F = 2 e^{2r} |f_q + A f_p|^2 + 2 e^{-2r} |f_p|^2
 
-    where f = (f_q, f_p) in block order. This is 4 f^T S f with 2S = M M^T,
-    and no term cancels, so along the squeezed nullifiers f_q = -A f_p it
-    keeps its digits where the quadratic form on S loses about e^{4r} eps.
+    where f = (f_q, f_p) in block order and A f_p = (U f_p)[c] (see Graph). It
+    is 4 f^T S f with 2S = M M^T, and no term cancels, so along the squeezed
+    nullifiers f_q = -A f_p it keeps its digits where 4 f^T S f loses e^{4r} eps.
     """
     r = check_r(r)
     f = check_f(f, g.n, "displacement")
     fq, fp = f[:g.n], f[g.n:]
-    u = fq + g.adjacency.astype(float) @ fp
+    u = fq + (g.rows @ fp)[g.classes]
     return 2.0 * np.exp(2.0 * r) * float(u @ u) + 2.0 * np.exp(-2.0 * r) * float(fp @ fp)
 
 

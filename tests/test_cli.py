@@ -11,6 +11,8 @@ import pytest
 
 from cvgraphsense import cli
 from cvgraphsense.cli import main, parse_f
+from cvgraphsense.gaussian import squeeze_for_photon_budget
+from cvgraphsense.graph import adjacency_square_sum, empty_graph, star_graph, trace_power
 
 
 def run_cli(capsys, *argv):
@@ -335,6 +337,26 @@ def test_figure_fig2_contract(tmp_path, capsys):
         n, nbar, star, sep, ratio = line.split(",")
         assert float(star) >= float(sep) * (1 - 1e-9)
         assert float(ratio) == pytest.approx(float(star) / float(sep), rel=1e-9)
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig4"])
+def test_figure_reaches_large_n(capsys, name):
+    # star and empty graphs are built in O(n), so n = 100000 needs no n x n array
+    code, out, _ = run_cli(capsys, "figure", name, "--n-max", "100000", "--json")
+    assert code == 0
+    last = json.loads(out)[-1]
+    n, n_bar = last["n"], last["N_bar"]
+    assert (n, n_bar) == (100000, 1e6)
+    for g, column in ((star_graph(n), "qfi_star"), (empty_graph(n), "qfi_separable")):
+        r = squeeze_for_photon_budget(g, n_bar)
+        t2 = trace_power(g, 2)
+        if name == "fig2":
+            expected = (2.0 * n * np.sinh(2.0 * r) ** 2 + (1.0 + np.exp(4.0 * r)) * t2
+                        + 0.5 * np.exp(4.0 * r) * trace_power(g, 4))
+        else:  # |1 + A 1|^2 = n + 2 Tr(A^2) + sum_jk (A^2)_jk
+            expected = (2.0 * np.exp(2.0 * r) * (n + 2 * t2 + adjacency_square_sum(g))
+                        + 2.0 * np.exp(-2.0 * r) * n)
+        assert last[column] == pytest.approx(expected, rel=1e-12)
 
 
 def test_figure_json_mode(capsys):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvgraphsense.gaussian import graph_state_covariance
 from cvgraphsense.graph import (
@@ -18,7 +20,6 @@ from cvgraphsense.graph import (
     rectangular_graph,
     star_graph,
     trace_power,
-    _row_classes,
 )
 
 
@@ -110,6 +111,25 @@ def test_graph_from_edges_rejects_out_of_range():
         graph_from_edges(3, [(0, 1)])
 
 
+@pytest.mark.parametrize("edges,message", [
+    ([(1, 2), (3, 3), (1, 9)], "self-loop (3,3) is not allowed"),
+    ([(1, 2), (1, 9), (3, 3)], "edge (1,9) out of range for n=4"),
+    ([(1, 2), (5, 5)], "self-loop (5,5) is not allowed"),
+    ([(2, 3), (0, 1), (4, 4)], "edge (0,1) out of range for n=4"),
+    ([(2, 3), (10**20, 10**20 + 1)], "edge (100000000000000000000,100000000000000000001) "
+                                     "out of range for n=4"),
+    ([(2, 3), (10**20, 10**20)], "self-loop (100000000000000000000,100000000000000000000) "
+                                 "is not allowed"),
+    ([(2, 3), (1.5, 2), (3, 3)], "edge (1.5,2) out of range for n=4"),
+])
+def test_graph_from_edges_names_first_bad_edge(edges, message):
+    # the first bad pair in input order is named, its self-loop checked before its
+    # range; an index that is not an integer is out of range
+    with pytest.raises(ValueError) as exc:
+        graph_from_edges(4, edges)
+    assert str(exc.value) == message
+
+
 def test_parse_edge_list():
     text = "# a comment\n4\n1 2\n\n2 3\n"
     g = parse_edge_list(text)
@@ -133,6 +153,113 @@ def test_graph_validation():
     for entry in (2, -1):  # entries not 0/1
         with pytest.raises(ValueError, match="adjacency entries must be 0 or 1"):
             Graph(2, np.array([[0, entry], [entry, 0]]))
+
+
+@pytest.mark.parametrize("rows,classes,reps,message", [
+    ([[0, 1, 1], [0, 0, 0]], [0, 1, 1], [0, 1], "adjacency must be symmetric"),
+    # M = U[:, reps] is symmetric, but U[0, 2] differs from U[c[2], 0]
+    ([[0, 1, 0], [1, 0, 0]], [0, 1, 1], [0, 1], "adjacency must be symmetric"),
+    ([[1, 1], [1, 0]], [0, 1], [0, 1], "adjacency must have zero diagonal (no self-loops)"),
+    ([[0, 2], [2, 0]], [0, 1], [0, 1], "adjacency entries must be 0 or 1"),
+])
+def test_class_form_validation(rows, classes, reps, message):
+    rows, classes = np.array(rows, dtype=float), np.array(classes)
+    with pytest.raises(ValueError) as exc:
+        Graph.__new__(Graph)._store(len(classes), rows, classes, reps, "bad")
+    assert str(exc.value) == message
+    # the dense constructor of the same matrix reports the same rule
+    with pytest.raises(ValueError) as exc:
+        Graph(len(classes), rows[classes].astype(int))
+    assert str(exc.value) == message
+
+
+def _dense_family(name, *args):
+    """The family's adjacency matrix, built entry by entry."""
+    if name == "star":
+        a = np.zeros((args[0], args[0]), dtype=int)
+        a[0, 1:] = a[1:, 0] = 1
+        return a
+    if name == "empty":
+        return np.zeros((args[0], args[0]), dtype=int)
+    if name == "multipartite":
+        l, m = args
+        block = np.ones((l, l), dtype=int) - np.eye(l, dtype=int)
+        return np.kron(block, np.ones((m, m), dtype=int))
+    n = 4 * args[0]
+    return np.array([[int(abs(i - j) in (1, 4)) for j in range(n)] for i in range(n)])
+
+
+FAMILIES = {"star": star_graph, "empty": empty_graph, "multipartite": multipartite_graph,
+            "rectangular": rectangular_graph}
+# every family member with n <= 12
+SMALL_FAMILIES = ([("star", n) for n in range(2, 13)] + [("empty", n) for n in range(1, 13)]
+                  + [("multipartite", l, m) for l in range(2, 13) for m in range(1, 13 // l + 1)]
+                  + [("rectangular", 2), ("rectangular", 3)])
+
+
+def _assert_matches_dense(g, a):
+    """Every class-form reading of g equals its value on the dense matrix a."""
+    a2 = a @ a
+    np.testing.assert_array_equal(g.degrees(), a.sum(axis=1))
+    assert g.edge_count == a.sum() // 2
+    for k in range(1, 6):
+        assert trace_power(g, k) == np.trace(np.linalg.matrix_power(a, k))
+    np.testing.assert_array_equal(adjacency_squared(g), a2)
+    assert adjacency_square_sum(g) == a2.sum()
+
+
+@pytest.mark.parametrize("spec", SMALL_FAMILIES, ids=str)
+def test_family_classes_match_dense_construction(spec):
+    g, a = FAMILIES[spec[0]](*spec[1:]), _dense_family(*spec)
+    dense = Graph(g.n, a)
+    for name in ("rows", "classes", "gram"):
+        mine, ref = getattr(g, name), getattr(dense, name)
+        np.testing.assert_array_equal(mine, ref)
+        assert mine.dtype == ref.dtype
+    np.testing.assert_array_equal(g.adjacency, a)
+    assert g == dense and hash(g) == hash(dense)
+    _assert_matches_dense(g, a)
+
+
+def test_graph_equality_and_hash():
+    star = star_graph(5)
+    from_edges = graph_from_edges(5, [(1, 2), (1, 3), (1, 4), (1, 5)], "edges")
+    assert star == from_edges and hash(star) == hash(from_edges)
+    assert star != star_graph(6)
+    assert star != empty_graph(5)
+    assert star != "star(5)"
+    assert {star, from_edges, empty_graph(5), empty_graph(5)} == {star, empty_graph(5)}
+    table = {star: "star", empty_graph(5): "empty", multipartite_graph(2, 1): "edge"}
+    assert table[from_edges] == "star"
+    assert table[graph_from_edges(2, [(2, 1)])] == "edge"
+
+
+@st.composite
+def twin_graphs(draw):
+    """(a, perm): a random graph whose rows repeat those of a k-vertex base
+    (planted false twins, scattered over the vertex order) and a relabelling."""
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 14))
+    bits = draw(st.lists(st.booleans(), min_size=k * k, max_size=k * k))
+    b = np.triu(np.array(bits, dtype=int).reshape(k, k), 1)
+    c = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    perm = np.array(draw(st.permutations(range(n))))
+    return (b + b.T)[np.ix_(c, c)], perm
+
+
+@settings(max_examples=150, deadline=None)
+@given(twin_graphs())
+def test_class_form_agrees_with_dense_matrix(case):
+    a, perm = case
+    g = Graph(len(a), a)
+    _assert_matches_dense(g, a)
+    # relabelling moves the per-vertex readings and keeps the invariants
+    h = Graph(len(a), a[np.ix_(perm, perm)])
+    np.testing.assert_array_equal(h.degrees(), g.degrees()[perm])
+    np.testing.assert_array_equal(adjacency_squared(h), adjacency_squared(g)[np.ix_(perm, perm)])
+    assert h.edge_count == g.edge_count
+    assert adjacency_square_sum(h) == adjacency_square_sum(g)
+    assert [trace_power(h, k) for k in range(1, 6)] == [trace_power(g, k) for k in range(1, 6)]
 
 
 def test_adjacency_squared_is_exact():
@@ -174,7 +301,7 @@ ROW_CLASS_GRAPHS = [star_graph(2), star_graph(9), empty_graph(1), empty_graph(7)
 
 @pytest.mark.parametrize("g", ROW_CLASS_GRAPHS, ids=lambda g: g.label)
 def test_row_classes_group_identical_rows(g):
-    rows, gram, cls = _row_classes(g)
+    rows, gram, cls = g.rows, g.gram, g.classes
     a = g.adjacency
     np.testing.assert_array_equal(rows[cls], a)
     np.testing.assert_array_equal(gram, rows @ rows.T)
@@ -202,13 +329,12 @@ def test_row_class_products_equal_matrix_powers(g):
 
 
 def test_row_class_counts():
-    assert _row_classes(star_graph(2048))[1].shape == (2, 2)
-    assert _row_classes(empty_graph(64))[1].shape == (1, 1)
-    assert _row_classes(multipartite_graph(4, 16))[1].shape == (4, 4)
+    assert star_graph(2048).gram.shape == (2, 2)
+    assert empty_graph(64).gram.shape == (1, 1)
+    assert multipartite_graph(4, 16).gram.shape == (4, 4)
     g = _twin_free(11, 30)
-    _, gram, cls = _row_classes(g)
-    np.testing.assert_array_equal(cls, np.arange(g.n))
-    assert gram.shape == (30, 30)
+    np.testing.assert_array_equal(g.classes, np.arange(g.n))
+    assert g.gram.shape == (30, 30)
 
 
 def test_trace_power_star():

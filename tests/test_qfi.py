@@ -11,7 +11,7 @@ from cvgraphsense.gaussian import (
     mean_photon_number,
     squeeze_for_photon_budget,
 )
-from cvgraphsense.graph import (Graph, empty_graph, multipartite_graph,
+from cvgraphsense.graph import (Graph, chi_disp, chi_phase, empty_graph, multipartite_graph,
                                 rectangular_graph, star_graph)
 from test_graph import ROW_CLASS_GRAPHS
 
@@ -132,15 +132,36 @@ def test_phase_closed_form_matches_elementwise_sum(g):
 
 
 def test_phase_closed_form_memory_on_large_star():
-    # the star's two row classes keep every float array at 2 x n: the peak
-    # is the 32 MB int64 adjacency and the transients of its validation
+    # the star's two row classes keep every array at 2 x n or n
     tracemalloc.start()
     try:
         qfi_phase_closed_form(star_graph(2048), 1.0, np.ones(2048))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 48e6
+    assert peak < 1e6
+
+
+@pytest.mark.parametrize("make", [star_graph, empty_graph, lambda n: multipartite_graph(4, n // 4)],
+                         ids=["star", "empty", "multipartite"])
+def test_class_path_allocates_no_square_array(make):
+    # one n x n bool array would take 1 GiB at n = 2^15; the class path keeps
+    # every array at u x n or u x u
+    n = 2 ** 15
+    tracemalloc.start()
+    try:
+        g = make(n)
+        r = squeeze_for_photon_budget(g, mean_photon_number(g, 0.5))
+        values = [qfi(g, r, np.ones(n), "phase"), qfi(g, r, np.ones(2 * n), "displacement"),
+                  g.edge_count]
+        if g.edge_count:
+            values += [chi_phase(g), chi_disp(g)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r == pytest.approx(0.5, rel=1e-9)
+    assert all(np.isfinite(values))
+    assert peak < 16e6
 
 
 def _omega(n):
