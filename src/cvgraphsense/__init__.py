@@ -14,10 +14,10 @@ from .graph import (EdgelessGraphError, Graph, adjacency_square_sum, chi_disp,
                     multipartite_graph, parse_edge_list, rectangular_graph,
                     star_graph, trace_power)
 from .homodyne import (HomodyneSetting, MeasurementMoments,
-                       diag_trig_matrices, displacement_measurement_moments,
-                       fi_monte_carlo, fi_star_ansatz,
-                       gaussian_fisher_information, optimize_angles,
-                       phase_measurement_moments, saturate_displacement)
+                       displacement_measurement_moments, fi_monte_carlo,
+                       fi_star_ansatz, gaussian_fisher_information,
+                       optimize_angles, phase_measurement_moments,
+                       saturate_displacement)
 from .oracle import (EquivalenceReport, central_difference,
                      run_displacement_equivalence, run_fi_derivative_check,
                      run_phase_equivalence, run_photon_identity)
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 __all__ = [
     "EdgelessGraphError", "EquivalenceReport", "GaussianState", "Graph",
     "HomodyneSetting", "MeasurementMoments", "adjacency_square_sum",
-    "central_difference", "chi_disp", "chi_phase", "diag_trig_matrices",
+    "central_difference", "chi_disp", "chi_phase",
     "displacement_measurement_moments", "empty_graph", "fi_monte_carlo",
     "fi_star_ansatz", "gaussian_fisher_information", "graph_from_edges",
     "graph_state_covariance", "load_edge_list", "mean_photon_number",

@@ -6,6 +6,8 @@ scalar figures of a graph control the sensing performance of the resulting
 state: chi_phase = Tr(A^4)/Tr(A^2)^2 and chi_disp = sum_ij (A^2)_ij / Tr(A^2).
 """
 
+import functools
+
 import numpy as np
 
 
@@ -19,11 +21,12 @@ class Graph:
     Vertices with identical rows of the 0/1 adjacency matrix A (false twins)
     form one class: `classes` (c) numbers them in order of first occurrence,
     `rows` (U, float64) holds one row per class and `gram` is G = U U^T, so
-    A = U[c] and (A^2)_jk = G[c[j], c[k]], exact below 2^53. All are set at
-    construction, read-only. u = 2 on a star, 1 on the empty graph, l on the
-    complete l-partite graph: the families build these in O(u n). Graph(n,
-    adjacency, label) hashes the rows of a dense A once, O(n^2); without twins
-    c is the identity and u = n. Equality compares n and A only.
+    A = U[c] and (A^2)_jk = G[c[j], c[k]], exact below 2^53. All are
+    read-only: c and U are set at construction, G on its first read. u = 2 on
+    a star, 1 on the empty graph, l on the complete l-partite graph: the
+    families build these in O(u n). Graph(n, adjacency, label) hashes the
+    rows of a dense A once, O(n^2); without twins c is the identity and
+    u = n. Equality compares n and A only.
     """
 
     def __init__(self, n, adjacency, label="custom"):
@@ -43,11 +46,16 @@ class Graph:
         self.n, self.label = n, label
         self.__post_init__(rows, classes, reps)
         self.rows, self.classes = rows.astype(float), classes
-        self.gram = self.rows @ self.rows.T
-        self._degrees = self.gram.diagonal().astype(np.int64).take(classes)
-        for array in (self.rows, self.classes, self.gram, self._degrees):
+        self._degrees = rows.sum(axis=1, dtype=np.int64).take(classes)
+        for array in (self.rows, self.classes, self._degrees):
             array.flags.writeable = False
         return self
+
+    @functools.cached_property
+    def gram(self):
+        gram = self.rows @ self.rows.T
+        gram.flags.writeable = False
+        return gram
 
     def __post_init__(self, rows, classes, reps):
         """Validation in O(u n), timed by perfbench as graph.validate. With M =

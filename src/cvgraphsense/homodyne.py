@@ -26,7 +26,7 @@ from .graph import Graph
 
 TWO_PI = 2.0 * np.pi
 EPS = np.finfo(float).eps
-# angle pairs per dense moments evaluation
+# angle settings per `_moments` call of the grouped route
 BLOCK = 64
 # `optimize_angles`: grid points per angle on [0, pi), complex step, flat
 # curvature ratio, steps per start and per leader, decrement and FI-tie bounds
@@ -77,8 +77,8 @@ def diag_trig_matrices(f, phi, theta):
     return tuple(np.diag(trig(v)) for v in (f * phi, theta) for trig in (np.cos, np.sin))
 
 
-def _moments(g: Graph, r, f, phi, theta, modality):
-    """Outcome moments of k angle settings at once: theta has shape (k, n).
+def _moments(a, r, f, phi, theta, modality):
+    """Outcome moments of k angle settings at once on A = a: theta has shape (k, n).
 
     With x = e^{2r}, p = sin(psi), q = cos(psi), psi = theta - f phi for
     phase sensing and psi = theta for displacement sensing,
@@ -91,9 +91,8 @@ def _moments(g: Graph, r, f, phi, theta, modality):
     B^T. Phase sensing: d sigma_M by the product rule with dp = -f q,
     dq = f p, d omega None. Displacement: d sigma_M None, d omega = p f_p - q f_q.
     """
-    n = g.n
+    n = len(a)
     x = math.exp(2.0 * r)
-    a = g.rows.take(g.classes, axis=0)
     psi = theta - f * phi if modality == "phase" else theta
     p, q = np.sin(psi), np.cos(psi)
     idx = np.arange(n)
@@ -120,7 +119,8 @@ def _moments_view(g: Graph, r, f, phi, setting, modality):
     r, f, phi = check_r(r), check_f(f, g.n, modality), check_finite(phi, "phi")
     if setting.theta.shape != (g.n,):
         raise ValueError(f"theta must have length {g.n}")
-    sigma, root, d_sigma, d_omega = _moments(g, r, f, phi, setting.theta[None], modality)
+    sigma, root, d_sigma, d_omega = _moments(g.rows.take(g.classes, axis=0), r, f, phi,
+                                             setting.theta[None], modality)
     if modality == "phase":
         return MeasurementMoments(omega=np.zeros(g.n), sigma_m=sigma[0], d_omega=np.zeros(g.n),
                                   d_sigma=d_sigma[0], sigma_root=root[0])
@@ -183,79 +183,103 @@ def gaussian_fisher_information(m: MeasurementMoments) -> float:
     return float(_fisher(root[None], d_sigma, d_omega)[0])
 
 
-def _is_star(g: Graph):
-    """True for a star with hub at vertex 1; a lone mode is a star without leaves.
-    U[0] is the hub's row; if it reaches every vertex, U[1:] are the leaves'."""
-    return bool(np.all(g.rows[0, 1:] == 1) and not np.any(g.rows[1:, 1:]))
+def _grouped_fi_function(g: Graph, r, f, phi, slots, modality):
+    """FI of the settings whose angle is constant on slots: slots[j] numbers the
+    angle of vertex j, and fi(angles) takes angles[..., s] for slot s.
+
+    Vertices of one row class, responsivities and slot form a group (size nu)
+    and see identical moments: on the group's uniform vector `_moments` on the
+    k x k quotient nu^(1/2) A[reps, reps] nu^(1/2) with displacement f scaled
+    by nu^(1/2), on its nu - 1 complement the diagonal a = (x p^2 + q^2/x) / 2,
+    da = -(x - 1/x) p q f, adding sum (nu - 1) (da / a)^2 / 2 to the phase FI
+    (not to displacement). BLOCK settings per `_moments` call; complex angles
+    give `_fisher`'s complex step.
+    """
+    n = g.n
+    f_cols = f.reshape(-1, n).T
+    _, reps, nu = np.unique(np.column_stack([g.classes, slots, f_cols]), axis=0,
+                            return_index=True, return_counts=True)
+    scale = np.sqrt(nu)
+    quotient = g.rows[np.ix_(g.classes[reps], reps)] * np.outer(scale, scale)
+    fk = f_cols[reps].T.ravel() if modality == "phase" else (f_cols[reps].T * scale).ravel()
+    slot, twins = slots[reps], nu - 1.0
+    x, gap = math.exp(2.0 * r), 4.0 * math.sinh(2.0 * r)  # gap = 2 (x - 1/x)
+
+    def block_fi(theta):
+        sigma, *rest = _moments(quotient, r, fk, phi, theta, modality)
+        if not np.iscomplexobj(sigma):
+            sigma = None  # only a complex step reads it: free it before `_fisher`
+        fi = _fisher(*rest, sigma=sigma)
+        if modality == "phase":
+            psi = theta - fk * phi
+            p, q = np.sin(psi), np.cos(psi)
+            ratio = gap * p * q * fk / (x * p * p + q * q / x)  # -da / a
+            fi = fi + 0.5 * (ratio * ratio) @ twins
+        return fi
+
+    def fi(angles):
+        theta = angles.reshape(-1, angles.shape[-1])[:, slot]
+        return np.concatenate([block_fi(theta[k:k + BLOCK])
+                               for k in range(0, len(theta), BLOCK)]).reshape(angles.shape[:-1])
+
+    return fi
 
 
 def _ansatz(g: Graph, r, f, phi, modality):
     """Validate a two-angle star query (star, then r, then f, then phi); returns
-    (r, f, phi, fi) with fi(alpha, beta) on the sector route when the leaves
-    share one responsivity, else on the dense route."""
-    if not _is_star(g):
+    (r, f, phi, fi) with fi(alpha, beta) on floats or arrays: on the phase
+    sector when the leaves share one responsivity, else on the grouped route.
+    A star has its hub's row U[0] reach every vertex; a lone mode has no leaves."""
+    if not (np.all(g.rows[0, 1:] == 1) and not np.any(g.rows[1:, 1:])):
         raise ValueError("angle ansatz requires a star graph with hub at vertex 1")
     r, f, phi = check_r(r), check_f(f, g.n, modality), check_finite(phi, "phi")
-    return r, f, phi, (_sector_fi_function(g.n, r, f, phi, modality)
-                       or _dense_fi_function(g, r, f, phi, modality))
+    sector = _sector_fi_function(g.n, r, f, phi) if modality == "phase" else None
+    if sector:
+        return r, f, phi, sector
+    grouped = _grouped_fi_function(g, r, f, phi, np.arange(g.n).clip(max=1), modality)
+    return r, f, phi, lambda alpha, beta: grouped(np.stack(np.broadcast_arrays(alpha, beta), -1))
 
 
-def _sector_fi_function(n, r, f, phi, modality):
-    """Two-angle star FI on the symmetric sector, for leaves of one responsivity.
+def _sector_fi_function(n, r, f, phi):
+    """Two-angle star phase FI on the symmetric sector, for leaves of one responsivity.
 
     The ansatz gives sigma_M and d sigma_M the form hub + (a I + b J) on the
     m = n - 1 leaves, so both are block diagonal in the basis (hub,
     symmetric leaf mode, m - 1 antisymmetric leaf modes): a 2x2 sector
     S2 = [[h, s12], [s12, s22]] and the (m - 1)-fold eigenvalue a. With
-    x = e^{2r}, p = sin(psi), q = cos(psi), psi = theta - f phi (psi = theta
-    for displacement), h = x q_H^2 m / 2 + (x p_H^2 + q_H^2 / x) / 2,
+    x = e^{2r}, p = sin(psi), q = cos(psi), psi = theta - f phi,
+    h = x q_H^2 m / 2 + (x p_H^2 + q_H^2 / x) / 2,
     s12 = x sqrt(m) (q_H p_L + p_H q_L) / 2 and a = (x p_L^2 + q_L^2 / x) / 2.
     As `_fisher` whitens by QR, S2 is whitened by its Cholesky factor
     [[1, 0], [t, 1]] diag(sqrt(h), sqrt(det / h)), t = s12 / h, into squares:
 
-        FI_disp = d1^2 / h + h (d2 - t d1)^2 / det,
-        FI_phase = (dh / h)^2 / 2 + w12^2 / det + (h w22 / det)^2 / 2
-                   + (m - 1) (da / a)^2 / 2,
+        FI = (dh / h)^2 / 2 + w12^2 / det + (h w22 / det)^2 / 2 + (m - 1) (da / a)^2 / 2,
 
-    with d = (p_H f_n - q_H f_0, sqrt(m) (p_L f_{n+1} - q_L f_1)), and
-    w12 = d12 - t dh, w22 = d22 - t (d12 + w12) from dS2. det S2 is a sum of
-    non-negative terms (sigma_M = x L L^T / 2 + diag(q)^2 / (2x)) and is
-    evaluated that way. Returns fi(alpha, beta) on floats or arrays, or None
-    when the leaves' responsivities differ; fi is holomorphic, so complex
-    angles give a complex step.
+    with w12 = d12 - t dh, w22 = d22 - t (d12 + w12) from dS2. det S2 is a
+    sum of non-negative terms (sigma_M = x L L^T / 2 + diag(q)^2 / (2x)) and
+    is evaluated that way. Returns fi(alpha, beta) on floats or arrays, or
+    None when the leaves' responsivities differ; fi is holomorphic, so
+    complex angles give a complex step.
     """
-    if modality == "phase":
-        if np.any(f[1:] != f[-1]):
-            return None
-        f_h, f_l = float(f[0]), float(f[-1])
-        shift_h, shift_l = f_h * phi, f_l * phi
-    else:
-        if np.any(f[1:n] != f[n - 1]) or np.any(f[n + 1:] != f[-1]):
-            return None
-        fq_h, fq_l, fp_h, fp_l = (float(v) for v in f[[0, n - 1, n, -1]])
-        shift_h = shift_l = 0.0
+    if np.any(f[1:] != f[-1]):
+        return None
+    f_h, f_l = float(f[0]), float(f[-1])
     m = n - 1
-    rm = math.sqrt(m)
-    x = math.exp(2.0 * r)
+    rm, x = math.sqrt(m), math.exp(2.0 * r)
 
     def fi(alpha, beta):
-        ph, qh = np.sin(alpha - shift_h), np.cos(alpha - shift_h)
-        pl, ql = np.sin(beta - shift_l), np.cos(beta - shift_l)
+        ph, qh = np.sin(alpha - f_h * phi), np.cos(alpha - f_h * phi)
+        pl, ql = np.sin(beta - f_l * phi), np.cos(beta - f_l * phi)
         h = 0.5 * (x * (m * qh * qh + ph * ph) + qh * qh / x)
-        if modality == "phase":
-            dph, dqh = -f_h * qh, f_h * ph
-            dh = x * (m * qh * dqh + ph * dph) + qh * dqh / x
-            if m == 0:
-                return 0.5 * (dh / h) ** 2
+        dph, dqh = -f_h * qh, f_h * ph
+        dh = x * (m * qh * dqh + ph * dph) + qh * dqh / x
+        if m == 0:
+            return 0.5 * (dh / h) ** 2
         t = 0.5 * rm * x * (qh * pl + ph * ql) / h
         lin = ph * pl - m * qh * ql
         det = (0.25 * x * x * lin * lin
                + 0.25 * (qh * qh * pl * pl + ql * ql * ph * ph + 2.0 * m * qh * qh * ql * ql)
                + 0.25 * qh * qh * ql * ql / (x * x))
-        if modality == "displacement":
-            d1 = ph * fp_h - qh * fq_h
-            d2 = rm * (pl * fp_l - ql * fq_l)
-            return d1 * d1 / h + h * (d2 - t * d1) ** 2 / det
         dpl, dql = -f_l * ql, f_l * pl
         d12 = 0.5 * rm * x * (dqh * pl + qh * dpl + dph * ql + ph * dql)
         da = x * pl * dpl + ql * dql / x
@@ -269,38 +293,9 @@ def _sector_fi_function(n, r, f, phi, modality):
     return fi
 
 
-def _dense_fi_function(g: Graph, r, f, phi, modality):
-    """Two-angle star FI through the full n x n moments, for any leaf responsivities.
-
-    Returns fi(alpha, beta) on floats or arrays (complex ones give the complex
-    step of `_fisher`), evaluated in blocks of BLOCK angle pairs so that each
-    moment array holds BLOCK * n^2 entries whatever the number of pairs.
-    """
-    n = g.n
-
-    def block_fi(alphas, betas):
-        theta = np.empty((alphas.size, n), dtype=np.result_type(alphas, betas))
-        theta[:, 0] = alphas
-        theta[:, 1:] = betas[:, None]
-        sigma, *rest = _moments(g, r, f, phi, theta, modality)
-        return _fisher(*rest, sigma=sigma)
-
-    def fi(alpha, beta):
-        if not isinstance(alpha, np.ndarray):
-            return float(block_fi(np.array([alpha]), np.array([beta]))[0])
-        a, b = alpha.ravel(), beta.ravel()
-        return np.concatenate([block_fi(a[k:k + BLOCK], b[k:k + BLOCK])
-                               for k in range(0, a.size, BLOCK)]).reshape(alpha.shape)
-
-    return fi
-
-
 def fi_star_ansatz(g: Graph, r, f, phi, alpha, beta, modality) -> float:
-    """FI of the two-angle star setting: alpha on the hub, beta on the leaves.
-
-    Leaves of one responsivity take the O(1) sector route of
-    `_sector_fi_function`; otherwise the dense moments are built.
-    """
+    """FI of the two-angle star setting: alpha on the hub, beta on the leaves
+    (on the O(1) phase sector for leaves of one responsivity, else grouped)."""
     *_, fi = _ansatz(g, r, f, phi, modality)
     return float(fi(check_finite(alpha, "alpha"), check_finite(beta, "beta")))
 
@@ -315,8 +310,8 @@ def saturate_displacement(g: Graph, r, f):
     gives v = 4 Omega S f with f = (f_q, f_p), and S f = (x/2) (u, w) for
     x = e^{2r}, u = f_q + A f_p, w = A u + e^{-4r} f_p: theta = atan2(w, -u)
     mod pi from two products (U x)[c] = A x (theta_j = 0 where u_j = w_j = 0).
-    The FI is evaluated at theta, by `fi_star_ansatz` on a star whose leaves
-    share one angle, otherwise through the dense moments.
+    The FI is evaluated at theta on the grouped route, one slot per distinct
+    angle (twins with equal responsivities share one).
     """
     r, f = check_r(r), check_f(f, g.n, "displacement")
     n = g.n
@@ -325,11 +320,8 @@ def saturate_displacement(g: Graph, r, f):
     w = (g.rows @ u)[g.classes] + math.exp(-4.0 * r) * fp
     theta = np.mod(np.arctan2(w, -u), np.pi)
     theta[theta == np.pi] = 0.0  # a tiny negative angle rounds up to pi
-    if _is_star(g) and np.all(theta[1:] == theta[1:2]):
-        fi = fi_star_ansatz(g, r, f, 0.0, theta[0], theta[min(1, n - 1)], "displacement")
-    else:
-        fi = float(_fisher(*_moments(g, r, f, 0.0, theta[None], "displacement")[1:])[0])
-    return theta, fi
+    angles, slots = np.unique(theta, return_inverse=True)
+    return theta, float(_grouped_fi_function(g, r, f, 0.0, slots, "displacement")(angles))
 
 
 def _newton_terms(fi, a, b, width):

@@ -21,6 +21,8 @@ from cvgraphsense.graph import (
     star_graph,
     trace_power,
 )
+from cvgraphsense.homodyne import saturate_displacement
+from cvgraphsense.qfi import qfi
 
 
 def test_star_3_adjacency():
@@ -335,6 +337,19 @@ def test_row_class_counts():
     g = _twin_free(11, 30)
     np.testing.assert_array_equal(g.classes, np.arange(g.n))
     assert g.gram.shape == (30, 30)
+
+
+def test_gram_is_formed_on_first_read():
+    # commands that never read A^2 do not pay G = U U^T: n x n without twins
+    g = _twin_free(12, 24)
+    assert "gram" not in vars(g)
+    saturate_displacement(g, 1.0, np.ones(2 * g.n))
+    assert "gram" not in vars(g)
+    qfi(g, 1.0, np.ones(g.n), "phase")
+    assert "gram" in vars(g)
+    np.testing.assert_array_equal(g.gram, g.rows @ g.rows.T)
+    assert not g.gram.flags.writeable
+    assert g.gram is vars(g)["gram"]
 
 
 def test_trace_power_star():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cvgraphsense import homodyne
-from cvgraphsense.graph import Graph, empty_graph, star_graph
+from cvgraphsense.graph import Graph, empty_graph, multipartite_graph, star_graph
 from cvgraphsense.homodyne import (
     HomodyneSetting,
     MeasurementMoments,
@@ -355,13 +355,61 @@ def test_optimize_reaches_narrow_ridge_maximum():
     assert fi >= 231989799.41 * (1.0 - 1e-9)
 
 
-def test_nonuniform_leaves_take_dense_route():
+def test_nonuniform_leaves_take_grouped_route(monkeypatch):
+    # leaves of different responsivities leave the sector for the grouped
+    # route, which agrees with the dense moments
+    grouped, calls = homodyne._grouped_fi_function, []
+    monkeypatch.setattr(homodyne, "_grouped_fi_function",
+                        lambda *args: calls.append(args) or grouped(*args))
     g = star_graph(4)
     f_phase = np.array([1.0, 0.5, 0.7, 1.3])
     f_disp = np.array([1.0, 0.5, 0.5, 0.5, 0.2, 0.4, 0.4, 0.9])
+    assert homodyne._sector_fi_function(g.n, 1.1, f_phase, 0.4) is None
     for f, modality in ((f_phase, "phase"), (f_disp, "displacement")):
-        assert (fi_star_ansatz(g, 1.1, f, 0.4, 0.3, 2.0, modality)
-                == _dense_fi(g, 1.1, f, 0.4, 0.3, 2.0, modality))
+        assert fi_star_ansatz(g, 1.1, f, 0.4, 0.3, 2.0, modality) == pytest.approx(
+            _dense_fi(g, 1.1, f, 0.4, 0.3, 2.0, modality), rel=1e-12)
+    assert len(calls) == 2
+
+
+def _pooled_query(rng, g, modality):
+    """Responsivities, slots and slot angles drawn from pools of two values, so
+    that vertices of one row class form groups of several."""
+    f = rng.choice(rng.uniform(-2.0, 2.0, 2), g.n if modality == "phase" else 2 * g.n)
+    f[0] = f[0] or 1.0
+    return f, rng.integers(0, 2, g.n), rng.uniform(0.0, np.pi, 2)
+
+
+def _twin_graph(rng):
+    """A star, complete multipartite, empty or random graph on at most 9 vertices."""
+    kind = rng.integers(4)
+    if kind == 0:
+        return star_graph(int(rng.integers(2, 10)))
+    if kind == 1:
+        return multipartite_graph(int(rng.integers(2, 4)), int(rng.integers(1, 4)))
+    if kind == 2:
+        return empty_graph(int(rng.integers(1, 8)))
+    return _random_graph(rng, int(rng.integers(1, 9)))
+
+
+@pytest.mark.parametrize("modality", ["phase", "displacement"])
+def test_grouped_route_matches_dense_moments(modality):
+    # the quotient moments plus the complement term against the full n x n
+    # moments at the same per-vertex angles; a wrong complement term (say, a
+    # dropped factor 2 in da / a) is off by far more than 1e-12
+    rng = np.random.default_rng(15 if modality == "phase" else 16)
+    cases_with_twins = 0
+    for _ in range(300):
+        g = _twin_graph(rng)
+        f, slots, angles = _pooled_query(rng, g, modality)
+        r, phi = float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.0, 2.0))
+        fi = homodyne._grouped_fi_function(g, r, f, phi, slots, modality)(angles)
+        moments = (phase_measurement_moments if modality == "phase"
+                   else displacement_measurement_moments)
+        dense = gaussian_fisher_information(moments(g, r, f, phi, HomodyneSetting(angles[slots])))
+        assert fi == pytest.approx(dense, rel=1e-12, abs=0.0), (g.label, r, phi, f, slots)
+        key = np.column_stack([g.classes, slots, f.reshape(-1, g.n).T])
+        cases_with_twins += len(np.unique(key, axis=0)) < g.n
+    assert cases_with_twins >= 100
 
 
 def test_optimize_nonuniform_leaves():
@@ -373,8 +421,8 @@ def test_optimize_nonuniform_leaves():
 
 
 def test_optimize_nonuniform_leaves_memory():
-    # the dense prescreen evaluates the 64 x 64 grid one row of 64 pairs at a
-    # time; all 4096 pairs at once would hold 4096 x n x n arrays
+    # the grouped route evaluates the 32 x 32 grid 64 settings at a time; all
+    # 1024 at once would hold 1024 x n x n arrays
     g = star_graph(16)
     f = np.linspace(0.5, 1.5, g.n)
     tracemalloc.start()
@@ -462,6 +510,17 @@ def test_saturate_displacement_certificate():
         assert fi == pytest.approx(q, rel=1e-9)
 
 
+@pytest.mark.parametrize("r", [1.0, 3.0, 5.0, 8.0, 10.0])
+def test_saturate_displacement_large_r(r):
+    # on the grouped route the FI keeps its digits up to the squeezing cap
+    # (measured within 1.2e-13 of a 60-digit evaluation at r = 10); the closed
+    # form it meets is a sum of two squares
+    for g in (star_graph(2), star_graph(8), multipartite_graph(3, 2), empty_graph(3)):
+        for f in (np.ones(2 * g.n), np.r_[np.linspace(0.5, 1.5, g.n), np.linspace(-1, 1, g.n)]):
+            _, fi = saturate_displacement(g, r, f)
+            assert fi == pytest.approx(qfi(g, r, f, "displacement"), rel=1e-12, abs=0.0)
+
+
 def test_saturate_displacement_zero_signal_mode():
     # f_q = (0, 0, 1), f_p = 0 on star(3): u = (0, 0, 1) and w = A u = (1, 0, 0),
     # so leaf 1 sees no signal (u = w = 0) and gets angle 0
@@ -470,7 +529,7 @@ def test_saturate_displacement_zero_signal_mode():
     theta, fi = saturate_displacement(g, 1.0, f)
     np.testing.assert_array_equal(theta, [np.pi / 2, 0.0, 0.0])
     assert fi == pytest.approx(qfi(g, 1.0, f, "displacement"), rel=1e-12)
-    # on a graph without edges the dense route takes the zero mode
+    # on a graph without edges the grouped route takes the zero mode
     g = empty_graph(3)
     f = np.array([1.0, 0.0, 0.0, 0.5, 0.0, 2.0])
     theta, fi = saturate_displacement(g, 0.4, f)
@@ -597,7 +656,7 @@ def test_optimize_warns_once_when_not_certified(monkeypatch):
 
 def _random_star_query(rng, route):
     """A random phase query on a star: one leaf responsivity (sector route) or
-    independent ones on n <= 4 modes (dense route)."""
+    independent ones on n <= 4 modes (grouped route, one group per mode)."""
     if route == "sector":
         n = int(rng.integers(2, 9))
         f = np.r_[rng.uniform(-2, 2), np.full(n - 1, rng.uniform(-2, 2))]
@@ -619,7 +678,7 @@ def test_optimize_reaches_fine_grid_maximum(route, points):
     for _ in range(20):
         g, r, f, phi = _random_star_query(rng, route)
         *_, fi = homodyne._ansatz(g, r, f, phi, "phase")
-        assert (homodyne._sector_fi_function(g.n, r, f, phi, "phase") is None) == (route == "dense")
+        assert (homodyne._sector_fi_function(g.n, r, f, phi) is None) == (route == "dense")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             alpha, beta, value = optimize_angles(g, r, f, phi)
