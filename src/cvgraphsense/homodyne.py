@@ -33,6 +33,9 @@ BLOCK = 64
 GRID, COMPLEX_STEP, FLAT = 32, 1e-20, 1e-7
 ITERATIONS, LEADER_ITERATIONS = 20, 100
 DECREMENT_TOL, TIE_TOL = 1e-11, 1e-12
+# `_newton_terms`: offsets of (a +/- d, b), (a, b +/- d) twice, complex steps in a, a, b
+SHIFTS = np.array([[1, 0], [-1, 0], [0, 1], [0, -1], [0, 1], [0, -1]])[:, None]
+PROBES = 1j * COMPLEX_STEP * np.eye(2)[[0, 0, 0, 0, 1, 1], None]
 
 
 def minimize(*args, **kwargs):
@@ -86,10 +89,10 @@ def _moments(a, r, f, phi, theta, modality):
         sigma_M = x L L^T / 2 + diag(q)^2 / (2x) = B B^T,
         L = diag(p) + diag(q) A,   B = [sqrt(x/2) L, diag(q) / sqrt(2x)].
 
-    Returns (sigma_M, B^T, d sigma_M, d omega) stacked over the k rows, in
-    theta's dtype (complex theta carries a complex step); `_fisher` factors
-    B^T. Phase sensing: d sigma_M by the product rule with dp = -f q,
-    dq = f p, d omega None. Displacement: d sigma_M None, d omega = p f_p - q f_q.
+    Returns (B^T, d sigma_M, d omega) stacked over the k rows, in theta's
+    dtype (complex theta carries a complex step); `_fisher` factors B^T and
+    forms no sigma_M. Phase sensing: d sigma_M by the product rule with
+    dp = -f q, dq = f p, d omega None. Displacement: d sigma_M None, d omega = p f_p - q f_q.
     """
     n = len(a)
     x = math.exp(2.0 * r)
@@ -98,20 +101,18 @@ def _moments(a, r, f, phi, theta, modality):
     idx = np.arange(n)
     lmat = q[:, :, None] * a
     lmat[:, idx, idx] += p
-    sigma = 0.5 * x * (lmat @ lmat.swapaxes(1, 2))
-    sigma[:, idx, idx] += 0.5 * q * q / x
     root = np.zeros((theta.shape[0], 2 * n, n), dtype=psi.dtype)
     root[:, :n] = math.sqrt(0.5 * x) * lmat.swapaxes(1, 2)
     root[:, n + idx, idx] = q / math.sqrt(2.0 * x)
     if modality != "phase":
-        return sigma, root, None, p * f[n:] - q * f[:n]
+        return root, None, p * f[n:] - q * f[:n]
     dp, dq = -f * q, f * p
     k = dq[:, :, None] * a
     k[:, idx, idx] += dp
     k = k @ lmat.swapaxes(1, 2)
     d_sigma = 0.5 * x * (k + k.swapaxes(1, 2))
     d_sigma[:, idx, idx] += q * dq / x
-    return sigma, root, d_sigma, None
+    return root, d_sigma, None
 
 
 def _moments_view(g: Graph, r, f, phi, setting, modality):
@@ -119,13 +120,14 @@ def _moments_view(g: Graph, r, f, phi, setting, modality):
     r, f, phi = check_r(r), check_f(f, g.n, modality), check_finite(phi, "phi")
     if setting.theta.shape != (g.n,):
         raise ValueError(f"theta must have length {g.n}")
-    sigma, root, d_sigma, d_omega = _moments(g.rows.take(g.classes, axis=0), r, f, phi,
-                                             setting.theta[None], modality)
+    (root,), d_sigma, d_omega = _moments(g.rows.take(g.classes, axis=0), r, f, phi,
+                                         setting.theta[None], modality)
+    sigma = root.T @ root
     if modality == "phase":
-        return MeasurementMoments(omega=np.zeros(g.n), sigma_m=sigma[0], d_omega=np.zeros(g.n),
-                                  d_sigma=d_sigma[0], sigma_root=root[0])
-    return MeasurementMoments(omega=phi * d_omega[0], sigma_m=sigma[0], d_omega=d_omega[0],
-                              d_sigma=np.zeros((g.n, g.n)), sigma_root=root[0])
+        return MeasurementMoments(omega=np.zeros(g.n), sigma_m=sigma, d_omega=np.zeros(g.n),
+                                  d_sigma=d_sigma[0], sigma_root=root)
+    return MeasurementMoments(omega=phi * d_omega[0], sigma_m=sigma, d_omega=d_omega[0],
+                              d_sigma=np.zeros((g.n, g.n)), sigma_root=root)
 
 
 def phase_measurement_moments(g: Graph, r, f, phi, setting: HomodyneSetting) -> MeasurementMoments:
@@ -140,17 +142,17 @@ def displacement_measurement_moments(g: Graph, r, f, phi, setting: HomodyneSetti
     return _moments_view(g, r, f, phi, setting, "displacement")
 
 
-def _fisher(root, d_sigma=None, d_omega=None, sigma=None):
+def _fisher(root, d_sigma=None, d_omega=None):
     """Gaussian FI of k stacked outcome models; a derivative given as None is zero.
 
     sigma_M = root^T root. With C = R^T from the QR factorization of root,
     sigma_M = C C^T without the squared condition number of a Cholesky
     factorization of sigma_M, and with W = C^-1 d sigma_M C^-T (one C^-1),
     I = |W|_F^2 / 2 + |C^-1 d omega|^2: the trace form as a sum of squares.
-    Complex phase moments from angles theta + i t v (sigma given) carry t
-    times their v-derivatives as imaginary parts, and the result is the
-    complex step I + i t dI/dv: t dI/dv = tr(W Y) - tr(X W^2) with X and Y
-    the whitened imaginary parts of sigma_M and d sigma_M.
+    Complex phase moments from angles theta + i t v carry t times their
+    v-derivatives as imaginary parts, and the result is the complex step
+    I + i t dI/dv: t dI/dv = tr(W Y) - tr(X W^2) with X and Y the whitened
+    imaginary parts of sigma_M (Re(root)^T Im(root) plus its transpose) and d sigma_M.
     """
     try:
         ci = np.linalg.inv(np.linalg.qr(root.real, mode="r").swapaxes(1, 2))
@@ -162,8 +164,10 @@ def _fisher(root, d_sigma=None, d_omega=None, sigma=None):
         fi += 0.5 * np.einsum("kij,kij->k", w, w)
         if np.iscomplexobj(d_sigma):
             v = w @ ci  # tr(W Y) = <C^-T V, Im d sigma_M>, tr(X W^2) = <V^T V, Im sigma_M>
+            cross = root.real.swapaxes(1, 2) @ root.imag
             fi = fi + 1j * (np.einsum("kij,kij->k", ci.swapaxes(1, 2) @ v, d_sigma.imag)
-                            - np.einsum("kij,kij->k", v.swapaxes(1, 2) @ v, sigma.imag))
+                            - np.einsum("kij,kij->k", v.swapaxes(1, 2) @ v,
+                                        cross + cross.swapaxes(1, 2)))
     if d_omega is not None:
         z = ci @ d_omega[:, :, None]
         fi += np.einsum("kij,kij->k", z, z)
@@ -206,10 +210,7 @@ def _grouped_fi_function(g: Graph, r, f, phi, slots, modality):
     x, gap = math.exp(2.0 * r), 4.0 * math.sinh(2.0 * r)  # gap = 2 (x - 1/x)
 
     def block_fi(theta):
-        sigma, *rest = _moments(quotient, r, fk, phi, theta, modality)
-        if not np.iscomplexobj(sigma):
-            sigma = None  # only a complex step reads it: free it before `_fisher`
-        fi = _fisher(*rest, sigma=sigma)
+        fi = _fisher(*_moments(quotient, r, fk, phi, theta, modality))
         if modality == "phase":
             psi = theta - fk * phi
             p, q = np.sin(psi), np.cos(psi)
@@ -227,17 +228,15 @@ def _grouped_fi_function(g: Graph, r, f, phi, slots, modality):
 
 def _ansatz(g: Graph, r, f, phi, modality):
     """Validate a two-angle star query (star, then r, then f, then phi); returns
-    (r, f, phi, fi) with fi(alpha, beta) on floats or arrays: on the phase
-    sector when the leaves share one responsivity, else on the grouped route.
-    A star has its hub's row U[0] reach every vertex; a lone mode has no leaves."""
+    (r, f, phi, fi) with fi(angles[..., 2] = (alpha, beta)): on the phase sector
+    when the leaves share one responsivity, else on the grouped route. A star
+    has its hub's row U[0] reach every vertex; a lone mode has no leaves."""
     if not (np.all(g.rows[0, 1:] == 1) and not np.any(g.rows[1:, 1:])):
         raise ValueError("angle ansatz requires a star graph with hub at vertex 1")
     r, f, phi = check_r(r), check_f(f, g.n, modality), check_finite(phi, "phi")
     sector = _sector_fi_function(g.n, r, f, phi) if modality == "phase" else None
-    if sector:
-        return r, f, phi, sector
-    grouped = _grouped_fi_function(g, r, f, phi, np.arange(g.n).clip(max=1), modality)
-    return r, f, phi, lambda alpha, beta: grouped(np.stack(np.broadcast_arrays(alpha, beta), -1))
+    return r, f, phi, sector or _grouped_fi_function(g, r, f, phi, np.arange(g.n).clip(max=1),
+                                                     modality)
 
 
 def _sector_fi_function(n, r, f, phi):
@@ -257,8 +256,8 @@ def _sector_fi_function(n, r, f, phi):
 
     with w12 = d12 - t dh, w22 = d22 - t (d12 + w12) from dS2. det S2 is a
     sum of non-negative terms (sigma_M = x L L^T / 2 + diag(q)^2 / (2x)) and
-    is evaluated that way. Returns fi(alpha, beta) on floats or arrays, or
-    None when the leaves' responsivities differ; fi is holomorphic, so
+    is evaluated that way. Returns fi(angles) on angles[..., 2] = (alpha, beta),
+    or None when the leaves' responsivities differ; fi is holomorphic, so
     complex angles give a complex step.
     """
     if np.any(f[1:] != f[-1]):
@@ -267,7 +266,8 @@ def _sector_fi_function(n, r, f, phi):
     m = n - 1
     rm, x = math.sqrt(m), math.exp(2.0 * r)
 
-    def fi(alpha, beta):
+    def fi(angles):
+        alpha, beta = angles[..., 0], angles[..., 1]
         ph, qh = np.sin(alpha - f_h * phi), np.cos(alpha - f_h * phi)
         pl, ql = np.sin(beta - f_l * phi), np.cos(beta - f_l * phi)
         h = 0.5 * (x * (m * qh * qh + ph * ph) + qh * qh / x)
@@ -297,7 +297,7 @@ def fi_star_ansatz(g: Graph, r, f, phi, alpha, beta, modality) -> float:
     """FI of the two-angle star setting: alpha on the hub, beta on the leaves
     (on the O(1) phase sector for leaves of one responsivity, else grouped)."""
     *_, fi = _ansatz(g, r, f, phi, modality)
-    return float(fi(check_finite(alpha, "alpha"), check_finite(beta, "beta")))
+    return float(fi(np.array([check_finite(alpha, "alpha"), check_finite(beta, "beta")])))
 
 
 def saturate_displacement(g: Graph, r, f):
@@ -324,20 +324,17 @@ def saturate_displacement(g: Graph, r, f):
     return theta, float(_grouped_fi_function(g, r, f, 0.0, slots, "displacement")(angles))
 
 
-def _newton_terms(fi, a, b, width):
-    """Gradient and Hessian of fi(alpha, beta) at the angle pairs (a, b): exact
+def _newton_terms(fi, x, width):
+    """Gradient and Hessian of fi at the angle pairs x[:, 2] = (a, b): exact
     complex-step gradients at (a -/+ d, b) and (a, b -/+ d), d = eps^(1/3) times
     the ridge width e^{-2|r|}, whose central differences and means give both
     to O(d^2) ~ 4e-11 relative."""
-    d = np.cbrt(EPS) * width
-    ap, am, bp, bm = a + d, a - d, b + d, b - d
-    s = 1j * COMPLEX_STEP
-    gap, gam, gabp, gabm, gbp, gbm = fi(
-        np.concatenate([ap + s, am + s, a + s, a + s, a, a]),
-        np.concatenate([b, b, bp, bm, bp + s, bm + s])).reshape(6, -1).imag / COMPLEX_STEP
-    hab = (gabp - gabm) / (bp - bm)
-    hess = np.stack([(gap - gam) / (ap - am), hab, hab, (gbp - gbm) / (bp - bm)], 1)
-    return 0.5 * np.stack([gabp + gabm, gbp + gbm], 1), hess.reshape(-1, 2, 2)
+    pts = x + np.cbrt(EPS) * width * SHIFTS
+    g = fi(pts + PROBES).imag / COMPLEX_STEP
+    span_a, span_b = pts[0, :, 0] - pts[1, :, 0], pts[2, :, 1] - pts[3, :, 1]
+    hab = (g[2] - g[3]) / span_b
+    hess = np.stack([(g[0] - g[1]) / span_a, hab, hab, (g[4] - g[5]) / span_b], 1)
+    return 0.5 * np.stack([g[2] + g[3], g[4] + g[5]], 1), hess.reshape(-1, 2, 2)
 
 
 def _newton_step(val, grad, hess):
@@ -378,8 +375,8 @@ def optimize_angles(g: Graph, r, f, phi):
     """
     r, f, phi, fi = _ansatz(g, r, f, phi, "phase")
     spacing = np.pi / GRID
-    aa, bb = np.meshgrid(spacing * np.arange(GRID), spacing * np.arange(GRID), indexing="ij")
-    vals = fi(aa, bb)
+    grid = np.stack(np.meshgrid(*[spacing * np.arange(GRID)] * 2, indexing="ij"), -1)
+    vals = fi(grid)
     if not np.all(np.isfinite(vals)):
         raise OverflowError("the FI overflows double precision")
     peak = np.all([vals >= np.roll(vals, (i, j), axis=(0, 1))
@@ -387,12 +384,12 @@ def optimize_angles(g: Graph, r, f, phi):
     # axis starts offset by the squeezing scale, shifted like the landscape by f*phi
     width = math.exp(-2.0 * abs(r))
     axis = (np.array([0.0, 0.5 * np.pi])[:, None] + np.array([-width, 0.0, width])).ravel()
-    ea, eb = np.meshgrid(axis + f[0] * phi, axis + np.mean(f[1:] if g.n > 1 else f) * phi,
-                         indexing="ij")
-    a0, b0 = np.concatenate([aa[peak], ea.ravel()]), np.concatenate([bb[peak], eb.ravel()])
-    a, b, val = a0.copy(), b0.copy(), fi(a0, b0)
-    grad, hess = _newton_terms(fi, a, b, width)
-    damp, live = np.ones(a.size), np.ones(a.size, dtype=bool)
+    axes = np.meshgrid(axis + f[0] * phi, axis + np.mean(f[1:] if g.n > 1 else f) * phi,
+                       indexing="ij")
+    x0 = np.concatenate([grid[peak], np.stack(axes, -1).reshape(-1, 2)])
+    x, val = x0.copy(), fi(x0)
+    grad, hess = _newton_terms(fi, x, width)
+    damp, live = np.ones(len(x)), np.ones(len(x), dtype=bool)
     for it in range(LEADER_ITERATIONS + 1):
         step, dec, concave = _newton_step(val, grad, hess)
         norm = np.hypot(step[:, 0], step[:, 1])
@@ -404,22 +401,21 @@ def optimize_angles(g: Graph, r, f, phi):
         if it == LEADER_ITERATIONS or not live.any():
             break
         k = np.flatnonzero(live)
-        v = fi(a[k] + step[k, 0], b[k] + step[k, 1])
+        v = fi(x[k] + step[k])
         ok = (v > val[k]) | certified[k]
         damp[k[~ok]] *= 0.5
         up = k[ok]
-        a[up], b[up], val[up], damp[up] = a[up] + step[up, 0], b[up] + step[up, 1], v[ok], 1.0
+        x[up], val[up], damp[up] = x[up] + step[up], v[ok], 1.0
         if up.size:
-            grad[up], hess[up] = _newton_terms(fi, a[up], b[up], width)
-    a, b = np.mod(a, np.pi), np.mod(b, np.pi)
+            grad[up], hess[up] = _newton_terms(fi, x[up], width)
+    x = np.mod(x, np.pi)
     tied = np.flatnonzero(certified & (val >= val.max() * (1.0 - TIE_TOL)))
-    w = tied[np.lexsort((a[tied], b[tied]))[0]] if tied.size else int(np.argmax(val))
+    w = tied[np.lexsort(x[tied].T)[0]] if tied.size else int(np.argmax(val))
     if not certified[w]:
         warnings.warn(f"angle ascent not certified: relative Newton decrement {dec[w]:.3g} "
                       f"(threshold {DECREMENT_TOL:g}), concave {bool(concave[w])}, "
-                      f"from start ({a0[w]:.6g}, {b0[w]:.6g})", RuntimeWarning, stacklevel=2)
-    alpha, beta = float(a[w]), float(b[w])
-    return alpha, beta, float(fi(alpha, beta))
+                      f"from start ({x0[w, 0]:.6g}, {x0[w, 1]:.6g})", RuntimeWarning, stacklevel=2)
+    return float(x[w, 0]), float(x[w, 1]), float(fi(x[w]))
 
 
 def fi_monte_carlo(m: MeasurementMoments, sample_count, seed):

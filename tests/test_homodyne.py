@@ -412,6 +412,24 @@ def test_grouped_route_matches_dense_moments(modality):
     assert cases_with_twins >= 100
 
 
+def test_grouped_complex_step_matches_central_difference():
+    # the complex step the Newton ascent reads (Im sigma_M from the complex
+    # factor, the complement term) against a central difference of the real
+    # FI; a dropped factor 2 in Im sigma_M is off by O(1)
+    rng = np.random.default_rng(18)
+    for _ in range(60):
+        m = int(rng.integers(1, 4))
+        g = star_graph(int(rng.integers(2, 9))) if rng.integers(2) else multipartite_graph(3, m)
+        f, slots, angles = _pooled_query(rng, g, "phase")
+        r, phi = float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.0, 2.0))
+        v = rng.normal(size=2)
+        fi = homodyne._grouped_fi_function(g, r, f, phi, slots, "phase")
+        step = fi(angles + 1j * homodyne.COMPLEX_STEP * v).imag / homodyne.COMPLEX_STEP
+        h = 1e-6 * np.exp(-2 * r)
+        central = (fi(angles + h * v) - fi(angles - h * v)) / (2 * h)
+        assert step == pytest.approx(central, rel=1e-5), (g.label, r, phi, f, slots, angles)
+
+
 def test_optimize_nonuniform_leaves():
     g = star_graph(3)
     f = np.array([1.0, 0.4, 0.8])
@@ -682,9 +700,9 @@ def test_optimize_reaches_fine_grid_maximum(route, points):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             alpha, beta, value = optimize_angles(g, r, f, phi)
-        assert value >= fi(aa, bb).max() * (1 - 1e-12), (g.n, r, f, phi)
+        assert value >= fi(np.stack([aa, bb], -1)).max() * (1 - 1e-12), (g.n, r, f, phi)
         assert fi_star_ansatz(g, r, f, phi, alpha, beta, "phase") == pytest.approx(value, rel=1e-12)
-        a, b = np.array([alpha]), np.array([beta])
-        grad, hess = homodyne._newton_terms(fi, a, b, np.exp(-2 * r))
-        _, dec, concave = homodyne._newton_step(fi(a, b), grad, hess)
+        x = np.array([[alpha, beta]])
+        grad, hess = homodyne._newton_terms(fi, x, np.exp(-2 * r))
+        _, dec, concave = homodyne._newton_step(fi(x), grad, hess)
         assert concave[0] and dec[0] <= homodyne.DECREMENT_TOL / 10
