@@ -12,6 +12,7 @@ code path, reproducing byte-identical output. Exit codes: 0 success,
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -40,26 +41,28 @@ def _fmt(v):
     return f"{float(v):.12g}"
 
 
-def write_csv(columns, rows, stream):
-    stream.write(",".join(columns) + "\n")
+def write_csv(columns, rows):
+    """CSV text: a header of `columns`, then one line per row."""
+    lines = [",".join(columns)] + [",".join(_fmt(row[c]) for c in columns) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def render(data, columns=None):
+    """A mapping as a JSON object or a list of mappings as a JSON array; as CSV
+    of `columns` when they are given. Values are strings, numbers or lists of
+    numbers; a non-finite number (an overflow of the inputs) is a usage error,
+    in either format, rather than output."""
+    rows = [data] if isinstance(data, dict) else data
     for row in rows:
-        stream.write(",".join(_fmt(row[c]) for c in columns) + "\n")
-
-
-def _emit(payload, params, stream):
-    """Print a mapping as JSON (default) or a one-row CSV table.
-
-    A non-finite number (an overflow of the inputs) is a usage error, in
-    either format, rather than output.
-    """
-    for key, value in payload.items():
-        if not isinstance(value, str) and not np.all(np.isfinite(value)):
-            raise ValueError(f"{key} is not finite ({_fmt(value)}); the inputs overflow "
-                             "double precision")
-    if params["csv"]:
-        write_csv(list(payload.keys()), [payload], stream)
-    else:
-        stream.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
+        for key, value in row.items():
+            finite = (all(map(math.isfinite, value)) if isinstance(value, list)
+                      else isinstance(value, str) or math.isfinite(value))
+            if not finite:
+                raise ValueError(f"{key} is not finite ({_fmt(value)}); the inputs overflow "
+                                 "double precision")
+    if columns is None:
+        return json.dumps(data, indent=2, allow_nan=False) + "\n"
+    return write_csv(columns, rows)
 
 
 def build_graph(params):
@@ -84,10 +87,12 @@ def parse_f(spec, length):
     return np.array([float(p) for p in parts])
 
 
-def _resolve_r(g, params):
-    if params["target_n"] is None:
-        return params["r"]
-    return squeeze_for_photon_budget(g, params["target_n"])
+def _query(params):
+    """(graph, modality, r, f) of a qfi or fi query: r from --r or solved from
+    the --target-N photon budget; f with n entries for phase, 2n for displacement."""
+    g, modality, target = build_graph(params), params["modality"], params["target_n"]
+    r = params["r"] if target is None else squeeze_for_photon_budget(g, target)
+    return g, modality, r, parse_f(params["f"], g.n if modality == "phase" else 2 * g.n)
 
 
 def run_graph_info(params, stream):
@@ -108,16 +113,13 @@ def run_graph_info(params, stream):
     except EdgelessGraphError:
         payload["chi_phase"] = "undefined"
         payload["chi_disp"] = "undefined"
-    _emit(payload, params, stream)
+    stream.write(render(payload, list(payload) if params["csv"] else None))
     return 0
 
 
 def run_qfi(params, stream):
-    g = build_graph(params)
-    modality = params["modality"]
-    r = _resolve_r(g, params)
+    g, modality, r, f = _query(params)
     state = graph_state_covariance(g, r)
-    f = parse_f(params["f"], g.n if modality == "phase" else 2 * g.n)
     closed = qfi(g, r, f, modality)
     cross = (qfi_phase_generic if modality == "phase" else qfi_displacement)(state, f)
     diff = oracle.rel_error(closed, cross)
@@ -133,7 +135,7 @@ def run_qfi(params, stream):
         "N_bar": mean_photon_number(g, r),
         "f": list(f),
     }
-    _emit(payload, params, stream)
+    stream.write(render(payload, list(payload) if params["csv"] else None))
     if diff > CROSS_CHECK_TOL:
         stream.write(f"cross-check failed: relative difference {diff:.3e}\n")
         return 1
@@ -141,11 +143,8 @@ def run_qfi(params, stream):
 
 
 def run_fi(params, stream):
-    g = build_graph(params)
-    modality = params["modality"]
-    r = _resolve_r(g, params)
+    g, modality, r, f = _query(params)
     phi = check_finite(params["phi"], "--phi")
-    f = parse_f(params["f"], g.n if modality == "phase" else 2 * g.n)
     theta = None
     if params["optimize"] and modality == "displacement":
         theta, fi = saturate_displacement(g, r, f)
@@ -162,7 +161,7 @@ def run_fi(params, stream):
                "beta": beta, "qfi": q, "ratio": fi / q}
     if theta is not None:
         payload["theta"] = theta.tolist()
-    _emit(payload, params, stream)
+    stream.write(render(payload, list(payload) if params["csv"] else None))
     return 0
 
 
@@ -172,13 +171,7 @@ def run_figure(params, stream):
         phi=params["phi"])
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    if params["json"]:
-        text = json.dumps([{c: row[c] for c in columns} for row in rows], indent=2) + "\n"
-    else:
-        import io
-        buf = io.StringIO()
-        write_csv(columns, rows, buf)
-        text = buf.getvalue()
+    text = render(rows, None if params["json"] else columns)  # rows hold just the columns
     if params["output"]:
         with open(params["output"], "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -195,7 +188,7 @@ def run_verify(params, stream):
         reports = oracle.run_all(cases, seed)
     else:
         reports = [oracle.SUITES[suite](cases, seed)]
-    stream.write(json.dumps([rep.to_dict() for rep in reports], indent=2) + "\n")
+    stream.write(render([rep.to_dict() for rep in reports]))
     return 0 if all(rep.passed for rep in reports) else 1
 
 
@@ -238,32 +231,25 @@ def build_parser():
 
     gi = subs.add_parser("graph-info", help="trace ratios and counts of a graph")
     _add_graph_args(gi)
-    gi.add_argument("--csv", action="store_true")
 
     qf = subs.add_parser("qfi", help="quantum Fisher information with cross-check")
-    qf.add_argument("modality", choices=("phase", "displacement"))
-    _add_graph_args(qf)
-    rgrp = qf.add_mutually_exclusive_group(required=True)
-    rgrp.add_argument("--r", type=float)
-    rgrp.add_argument("--target-N", dest="target_n", type=float)
-    qf.add_argument("--f", default="1")
-    qf.add_argument("--csv", action="store_true")
-
     fi = subs.add_parser(
         "fi", help="homodyne Fisher information: two star angles (alpha on the hub, "
                    "beta on the leaves), or --optimize; displacement --optimize "
                    "takes any graph and prints per-mode angles as theta")
-    fi.add_argument("modality", choices=("phase", "displacement"))
-    _add_graph_args(fi)
-    rgrp = fi.add_mutually_exclusive_group(required=True)
-    rgrp.add_argument("--r", type=float)
-    rgrp.add_argument("--target-N", dest="target_n", type=float)
-    fi.add_argument("--f", default="1")
+    for sub in (qf, fi):  # the query that _query reads
+        sub.add_argument("modality", choices=("phase", "displacement"))
+        _add_graph_args(sub)
+        rgrp = sub.add_mutually_exclusive_group(required=True)
+        rgrp.add_argument("--r", type=float)
+        rgrp.add_argument("--target-N", dest="target_n", type=float)
+        sub.add_argument("--f", default="1")
     fi.add_argument("--phi", type=float, default=0.0)
     fi.add_argument("--alpha", type=float)
     fi.add_argument("--beta", type=float)
     fi.add_argument("--optimize", action="store_true")
-    fi.add_argument("--csv", action="store_true")
+    for sub in (gi, qf, fi):
+        sub.add_argument("--csv", action="store_true")
 
     fg = subs.add_parser("figure", help="emit a sweep table")
     fg.add_argument("name", choices=("fig2", "fig3", "fig4", "fig5"))
@@ -359,15 +345,19 @@ def _replayed_args(parser, path):
     return parser.parse_args(argv)
 
 
-def _run(command, params):
-    """Run one command; bad input, a missing file, overflow or exhausted memory exits 2.
+def _run(manifest, save_path):
+    """Save the manifest when asked, then run its command; bad input, an
+    unreadable or unwritable file, overflow or exhausted memory exits 2.
 
     numpy's floating-point warnings are silenced: a non-finite result is
-    reported by `_emit` in one line instead.
+    reported by `render` in one line instead.
     """
     try:
+        if save_path:
+            with open(save_path, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(manifest, indent=2) + "\n")
         with np.errstate(all="ignore"):
-            return RUNNERS[command](params, sys.stdout)
+            return RUNNERS[manifest["command"]](manifest["parameters"], sys.stdout)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     except OverflowError:
@@ -389,12 +379,7 @@ def main(argv=None):
     except ValueError as exc:  # only a replay's parser raises
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    manifest = _manifest_from_args(args)
-    if args.save_manifest:
-        with open(args.save_manifest, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2)
-            fh.write("\n")
-    return _run(args.command, manifest["parameters"])
+    return _run(_manifest_from_args(args), args.save_manifest)
 
 
 def entry_point():

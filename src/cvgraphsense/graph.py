@@ -20,13 +20,13 @@ class Graph:
 
     Vertices with identical rows of the 0/1 adjacency matrix A (false twins)
     form one class: `classes` (c) numbers them in order of first occurrence,
-    `rows` (U, float64) holds one row per class and `gram` is G = U U^T, so
-    A = U[c] and (A^2)_jk = G[c[j], c[k]], exact below 2^53. All are
-    read-only: c and U are set at construction, G on its first read. u = 2 on
-    a star, 1 on the empty graph, l on the complete l-partite graph: the
-    families build these in O(u n). Graph(n, adjacency, label) hashes the
-    rows of a dense A once, O(n^2); without twins c is the identity and
-    u = n. Equality compares n and A only.
+    `rows` (U, float64) holds one row per class, `reps` its first vertex and
+    `gram` is G = U U^T, so A = U[c] and (A^2)_jk = G[c[j], c[k]], exact below
+    2^53. All are read-only: c, U and reps are set at construction, G on its
+    first read. u = 2 on a star, 1 on the empty graph, l on the complete
+    l-partite graph: the families build these in O(u n). Graph(n, adjacency,
+    label) hashes the rows of a dense A once, O(n^2); without twins c is the
+    identity and u = n. Equality compares n and A only.
     """
 
     def __init__(self, n, adjacency, label="custom"):
@@ -45,9 +45,9 @@ class Graph:
         """Validate and set A = rows[classes], reps the first vertex of each class."""
         self.n, self.label = n, label
         self.__post_init__(rows, classes, reps)
-        self.rows, self.classes = rows.astype(float), classes
+        self.rows, self.classes, self.reps = rows.astype(float), classes, np.asarray(reps)
         self._degrees = rows.sum(axis=1, dtype=np.int64).take(classes)
-        for array in (self.rows, self.classes, self._degrees):
+        for array in (self.rows, self.classes, self.reps, self._degrees):
             array.flags.writeable = False
         return self
 
@@ -173,7 +173,7 @@ def trace_power(g: Graph, k) -> int:
     w = np.bincount(g.classes).astype(float)
     if k == 4:
         return int(round(float(w @ np.square(g.gram) @ w)))
-    wm = w[:, None] * g.rows[:, np.unique(g.classes, return_index=True)[1]]
+    wm = w[:, None] * g.rows[:, g.reps]
     return int(round(float(np.trace(np.linalg.matrix_power(wm, k)))))
 
 

@@ -230,8 +230,8 @@ def _ansatz(g: Graph, r, f, phi, modality):
     """Validate a two-angle star query (star, then r, then f, then phi); returns
     (r, f, phi, fi) with fi(angles[..., 2] = (alpha, beta)): on the phase sector
     when the leaves share one responsivity, else on the grouped route. A star
-    has its hub's row U[0] reach every vertex; a lone mode has no leaves."""
-    if not (np.all(g.rows[0, 1:] == 1) and not np.any(g.rows[1:, 1:])):
+    has every edge at its hub; a lone mode has no leaves."""
+    if not g.degrees()[0] == g.edge_count == g.n - 1:
         raise ValueError("angle ansatz requires a star graph with hub at vertex 1")
     r, f, phi = check_r(r), check_f(f, g.n, modality), check_finite(phi, "phi")
     sector = _sector_fi_function(g.n, r, f, phi) if modality == "phase" else None

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvgraphsense import cli
+from cvgraphsense import cli, figures, oracle
 from cvgraphsense.cli import main, parse_f
 from cvgraphsense.gaussian import squeeze_for_photon_budget
 from cvgraphsense.graph import adjacency_square_sum, empty_graph, star_graph, trace_power
@@ -455,6 +455,60 @@ def test_manifest_holds_command_and_parameters_only(tmp_path, monkeypatch, capsy
         assert saved["command"] == argv[0]
         assert list(saved["parameters"]) == keys, argv
     assert saved["parameters"]["seed"] == 7
+
+
+QUERY_USAGE = ("(--star N | --multipartite L M | --rectangular M | --empty N | --edges PATH) "
+               "(--r R | --target-N TARGET_N) [--f F]")
+
+
+@pytest.mark.parametrize("command,options", [
+    ("qfi", "[--csv]"),
+    ("fi", "[--phi PHI] [--alpha ALPHA] [--beta BETA] [--optimize] [--csv]"),
+])
+def test_query_usage_keeps_parser_order(monkeypatch, capsys, command, options):
+    # qfi and fi share one argument block; its order is the order of --help
+    # (and of saved manifests, pinned above)
+    monkeypatch.setenv("COLUMNS", "400")
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    usage = capsys.readouterr().out.splitlines()[0]
+    assert usage == (f"usage: cvgraphsense {command} [-h] {QUERY_USAGE} {options} "
+                     "[--save-manifest PATH] {phase,displacement}")
+
+
+@pytest.mark.parametrize("target", [".", "missing/run.json"])
+def test_unwritable_manifest_path_is_usage_error(tmp_path, monkeypatch, capsys, target):
+    # a directory, or a file in a directory that does not exist
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "qfi", "phase", "--star", "3", "--r", "1",
+                             "--save-manifest", target)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", [(), ("--json",)])
+def test_figure_refuses_non_finite_value_and_writes_no_file(tmp_path, monkeypatch, capsys,
+                                                            fmt):
+    def overflowing(name, **kwargs):
+        return ("n", "ratio"), [{"n": 2, "ratio": 1.5}, {"n": 3, "ratio": float("inf")}], []
+
+    monkeypatch.setattr(figures, "figure_table", overflowing)
+    out_path = tmp_path / "t.csv"
+    code, out, err = run_cli(capsys, "figure", "fig2", "--output", str(out_path), *fmt)
+    assert (code, out) == (2, "")
+    assert err == "error: ratio is not finite (inf); the inputs overflow double precision\n"
+    assert not out_path.exists()
+
+
+def test_verify_refuses_non_finite_error(monkeypatch, capsys):
+    def diverged(cases, seed):
+        return oracle.EquivalenceReport("photon_identity", cases, float("nan"), "", 1e-12, False)
+
+    monkeypatch.setitem(oracle.SUITES, "photon", diverged)
+    code, out, err = run_cli(capsys, "verify", "photon", "--cases", "3")
+    assert (code, out) == (2, "")
+    assert err == ("error: max_rel_error is not finite (nan); the inputs overflow double "
+                   "precision\n")
 
 
 def test_manifest_with_old_top_level_keys_replays(tmp_path, capsys):

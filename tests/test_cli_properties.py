@@ -10,6 +10,7 @@ import json
 import os
 import re
 import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -193,11 +194,11 @@ def test_saved_manifest_replays_identically(argv, to_file):
             code, out = _run_in(argv + ["--save-manifest", "m.json"])
             if code not in (0, 1):
                 return
-            written = open("out.txt").read() if os.path.exists("out.txt") else None
+            written = Path("out.txt").read_text() if os.path.exists("out.txt") else None
             if written is not None:
                 os.remove("out.txt")
             replay_code, replay_out = _run_in(["--manifest", "m.json"])
-            replay_written = open("out.txt").read() if os.path.exists("out.txt") else None
+            replay_written = Path("out.txt").read_text() if os.path.exists("out.txt") else None
         finally:
             os.chdir(cwd)
     assert (replay_code, replay_out, replay_written) == (code, out, written), argv

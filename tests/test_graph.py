@@ -202,6 +202,9 @@ SMALL_FAMILIES = ([("star", n) for n in range(2, 13)] + [("empty", n) for n in r
 def _assert_matches_dense(g, a):
     """Every class-form reading of g equals its value on the dense matrix a."""
     a2 = a @ a
+    # reps: the first vertex of each distinct row, ascending, and read-only
+    np.testing.assert_array_equal(g.reps, np.sort(np.unique(a, axis=0, return_index=True)[1]))
+    assert not g.reps.flags.writeable
     np.testing.assert_array_equal(g.degrees(), a.sum(axis=1))
     assert g.edge_count == a.sum() // 2
     for k in range(1, 6):
@@ -214,7 +217,7 @@ def _assert_matches_dense(g, a):
 def test_family_classes_match_dense_construction(spec):
     g, a = FAMILIES[spec[0]](*spec[1:]), _dense_family(*spec)
     dense = Graph(g.n, a)
-    for name in ("rows", "classes", "gram"):
+    for name in ("rows", "classes", "reps", "gram"):
         mine, ref = getattr(g, name), getattr(dense, name)
         np.testing.assert_array_equal(mine, ref)
         assert mine.dtype == ref.dtype

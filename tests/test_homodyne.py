@@ -243,6 +243,29 @@ def test_ansatz_rejects_non_star():
                        0.1, 0.2, "phase")
 
 
+def test_ansatz_accepts_exactly_the_stars_with_hub_at_vertex_1():
+    # every labelled graph on n <= 5 vertices (1 + 2 + 8 + 64 + 1024 = 1099)
+    checked = 0
+    for n in range(1, 6):
+        pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+        for mask in range(2 ** len(pairs)):
+            a = np.zeros((n, n), dtype=int)
+            for bit, (j, k) in enumerate(pairs):
+                a[j, k] = a[k, j] = mask >> bit & 1
+            g = Graph(n, a)
+            dense = g.adjacency
+            star = bool(dense[0, 1:].all()) and not dense[1:, 1:].any()
+            try:
+                fi_star_ansatz(g, 1.0, np.ones(n), 0.0, 0.1, 0.2, "phase")
+                accepted = True
+            except ValueError as exc:
+                assert str(exc) == "angle ansatz requires a star graph with hub at vertex 1"
+                accepted = False
+            assert accepted == star, a
+            checked += 1
+    assert checked == 1099
+
+
 def test_ansatz_rejects_unknown_modality():
     with pytest.raises(ValueError):
         fi_star_ansatz(star_graph(3), 1.0, np.ones(3), 0.0, 0.1, 0.2, "amplitude")
