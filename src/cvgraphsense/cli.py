@@ -158,7 +158,7 @@ def run_fi(params, stream):
     q = qfi(g, r, f, modality)
     payload = {"value": fi, "modality": modality, "graph": g.label, "n": g.n, "r": r,
                "n_bar": mean_photon_number(g, r), "phi": phi, "alpha": alpha,
-               "beta": beta, "qfi": q, "ratio": fi / q}
+               "beta": beta, "qfi": q, "ratio": fi / q if q else "undefined"}
     if theta is not None:
         payload["theta"] = theta.tolist()
     stream.write(render(payload, list(payload) if params["csv"] else None))

@@ -77,31 +77,34 @@ def diag_trig_matrices(f, phi, theta):
     f, theta = np.asarray(f, dtype=float), np.asarray(theta, dtype=float)
     if f.shape != theta.shape:
         raise ValueError("f and theta must have matching length")
-    return tuple(np.diag(trig(v)) for v in (f * phi, theta) for trig in (np.cos, np.sin))
+    return tuple(np.diag(t(v)) for v in (_shift(f, phi, "phase"), theta) for t in (np.cos, np.sin))
 
 
-def _moments(a, r, f, phi, theta, modality):
-    """Outcome moments of k angle settings at once on A = a: theta has shape (k, n).
+def _shift(f, phi, modality):
+    """Phase shift f phi mod 2 pi, exact so theta - shift keeps its digits; 0 for displacement."""
+    return np.fmod(f * phi, TWO_PI) if modality == "phase" else 0.0
 
-    With x = e^{2r}, p = sin(psi), q = cos(psi), psi = theta - f phi for
-    phase sensing and psi = theta for displacement sensing,
+
+def _moments(a, r, f, psi, modality):
+    """Outcome moments of k angle settings at once on A = a: psi has shape (k, n).
+
+    With x = e^{2r}, p = sin(psi), q = cos(psi) and psi = theta - `_shift`,
 
         sigma_M = x L L^T / 2 + diag(q)^2 / (2x) = B B^T,
         L = diag(p) + diag(q) A,   B = [sqrt(x/2) L, diag(q) / sqrt(2x)].
 
-    Returns (B^T, d sigma_M, d omega) stacked over the k rows, in theta's
-    dtype (complex theta carries a complex step); `_fisher` factors B^T and
+    Returns (B^T, d sigma_M, d omega) stacked over the k rows, in psi's
+    dtype (complex psi carries a complex step); `_fisher` factors B^T and
     forms no sigma_M. Phase sensing: d sigma_M by the product rule with
     dp = -f q, dq = f p, d omega None. Displacement: d sigma_M None, d omega = p f_p - q f_q.
     """
     n = len(a)
     x = math.exp(2.0 * r)
-    psi = theta - f * phi if modality == "phase" else theta
     p, q = np.sin(psi), np.cos(psi)
     idx = np.arange(n)
     lmat = q[:, :, None] * a
     lmat[:, idx, idx] += p
-    root = np.zeros((theta.shape[0], 2 * n, n), dtype=psi.dtype)
+    root = np.zeros((psi.shape[0], 2 * n, n), dtype=psi.dtype)
     root[:, :n] = math.sqrt(0.5 * x) * lmat.swapaxes(1, 2)
     root[:, n + idx, idx] = q / math.sqrt(2.0 * x)
     if modality != "phase":
@@ -120,8 +123,8 @@ def _moments_view(g: Graph, r, f, phi, setting, modality):
     r, f, phi = check_r(r), check_f(f, g.n, modality), check_finite(phi, "phi")
     if setting.theta.shape != (g.n,):
         raise ValueError(f"theta must have length {g.n}")
-    (root,), d_sigma, d_omega = _moments(g.rows.take(g.classes, axis=0), r, f, phi,
-                                         setting.theta[None], modality)
+    psi = setting.theta[None] - _shift(f, phi, modality)
+    (root,), d_sigma, d_omega = _moments(g.rows.take(g.classes, axis=0), r, f, psi, modality)
     sigma = root.T @ root
     if modality == "phase":
         return MeasurementMoments(omega=np.zeros(g.n), sigma_m=sigma, d_omega=np.zeros(g.n),
@@ -206,13 +209,13 @@ def _grouped_fi_function(g: Graph, r, f, phi, slots, modality):
     scale = np.sqrt(nu)
     quotient = g.rows[np.ix_(g.classes[reps], reps)] * np.outer(scale, scale)
     fk = f_cols[reps].T.ravel() if modality == "phase" else (f_cols[reps].T * scale).ravel()
-    slot, twins = slots[reps], nu - 1.0
+    slot, twins, shift = slots[reps], nu - 1.0, _shift(fk, phi, modality)
     x, gap = math.exp(2.0 * r), 4.0 * math.sinh(2.0 * r)  # gap = 2 (x - 1/x)
 
     def block_fi(theta):
-        fi = _fisher(*_moments(quotient, r, fk, phi, theta, modality))
+        psi = theta - shift
+        fi = _fisher(*_moments(quotient, r, fk, psi, modality))
         if modality == "phase":
-            psi = theta - fk * phi
             p, q = np.sin(psi), np.cos(psi)
             ratio = gap * p * q * fk / (x * p * p + q * q / x)  # -da / a
             fi = fi + 0.5 * (ratio * ratio) @ twins
@@ -263,13 +266,13 @@ def _sector_fi_function(n, r, f, phi):
     if np.any(f[1:] != f[-1]):
         return None
     f_h, f_l = float(f[0]), float(f[-1])
-    m = n - 1
-    rm, x = math.sqrt(m), math.exp(2.0 * r)
+    s_h, s_l = _shift(f[[0, -1]], phi, "phase")
+    m, rm, x = n - 1, math.sqrt(n - 1), math.exp(2.0 * r)
 
     def fi(angles):
-        alpha, beta = angles[..., 0], angles[..., 1]
-        ph, qh = np.sin(alpha - f_h * phi), np.cos(alpha - f_h * phi)
-        pl, ql = np.sin(beta - f_l * phi), np.cos(beta - f_l * phi)
+        psi_h, psi_l = angles[..., 0] - s_h, angles[..., 1] - s_l
+        ph, qh = np.sin(psi_h), np.cos(psi_h)
+        pl, ql = np.sin(psi_l), np.cos(psi_l)
         h = 0.5 * (x * (m * qh * qh + ph * ph) + qh * qh / x)
         dph, dqh = -f_h * qh, f_h * ph
         dh = x * (m * qh * dqh + ph * dph) + qh * dqh / x
@@ -381,11 +384,11 @@ def optimize_angles(g: Graph, r, f, phi):
         raise OverflowError("the FI overflows double precision")
     peak = np.all([vals >= np.roll(vals, (i, j), axis=(0, 1))
                    for i in (-1, 0, 1) for j in (-1, 0, 1)], axis=0)
-    # axis starts offset by the squeezing scale, shifted like the landscape by f*phi
+    # axis starts offset by the squeezing scale, shifted like the landscape
     width = math.exp(-2.0 * abs(r))
     axis = (np.array([0.0, 0.5 * np.pi])[:, None] + np.array([-width, 0.0, width])).ravel()
-    axes = np.meshgrid(axis + f[0] * phi, axis + np.mean(f[1:] if g.n > 1 else f) * phi,
-                       indexing="ij")
+    hub, leaf = _shift(np.array([f[0], np.mean(f[1:] if g.n > 1 else f)]), phi, "phase")
+    axes = np.meshgrid(axis + hub, axis + leaf, indexing="ij")
     x0 = np.concatenate([grid[peak], np.stack(axes, -1).reshape(-1, 2)])
     x, val = x0.copy(), fi(x0)
     grad, hess = _newton_terms(fi, x, width)

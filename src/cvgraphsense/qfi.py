@@ -79,18 +79,17 @@ def qfi_phase_generic(state: GaussianState, f) -> float:
     which holds only for pure states such as those of graph_state_covariance.
     It is evaluated in the form E = S - I/2 (diagonal: state.excess_diag, e),
 
-        F = 2 d^T (E o E) d + 2 sum_a d_a^2 e_a,
+        F = 2 d^T (E o E) d + 2 sum_a d_a^2 e_a = 2 d^T (E o E) d + 2 sum_j f_j^2 m_j,
 
-    where the |f|^2 term cancels exactly: as r -> 0 the result loses about
-    eps/r in relative terms instead of eps/r^2.
+    where the |f|^2 term cancels exactly and m_j = e_{q_j} + e_{p_j} is
+    state.mode_excess, whose terms share one sign: as r -> 0 nothing cancels.
     Cross-checked against qfi_phase_closed_form by the oracle suite.
     """
     f = check_f(f, state.n, "phase")
     d = np.concatenate((f, f))
-    e = state.excess_diag
     sq = np.square(state.cov)
-    np.fill_diagonal(sq, np.square(e))
-    return 2.0 * float(d @ (sq @ d)) + 2.0 * float(np.square(d) @ e)
+    np.fill_diagonal(sq, np.square(state.excess_diag))
+    return 2.0 * float(d @ (sq @ d)) + 2.0 * float(np.square(f) @ state.mode_excess)
 
 
 def qfi_displacement(state: GaussianState, f) -> float:

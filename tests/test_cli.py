@@ -99,6 +99,15 @@ def test_qfi_phase_small_r_cross_check(capsys):
     assert json.loads(out)["rel_difference"] <= 1e-9
 
 
+@pytest.mark.parametrize("graph, r", [("3", "1e-9"), ("1", "1e-12")])
+def test_qfi_phase_tiny_r_cross_check(capsys, graph, r):
+    # the covariance route summed the q and p halves of cov - I/2, which
+    # cancel: relative differences 2.9e-08 and 2.4e-05 failed the check
+    code, out, _ = run_cli(capsys, "qfi", "phase", "--empty", graph, "--r", r)
+    assert code == 0
+    assert json.loads(out)["rel_difference"] <= 1e-15
+
+
 def test_qfi_displacement_empty(capsys):
     code, out, _ = run_cli(capsys, "qfi", "displacement", "--empty", "4", "--r", "0")
     assert code == 0
@@ -289,6 +298,29 @@ def test_fi_rejects_non_finite_angles(capsys, angles):
     assert out == ""
     assert err.startswith("error: --") and "must be finite" in err
     assert err.count("\n") == 1
+
+
+def test_fi_optimize_at_huge_phi(capsys):
+    code, out, err = run_cli(capsys, "fi", "phase", "--star", "4", "--r", "5",
+                             "--phi", "1e16", "--optimize")
+    assert code == 0
+    assert err == ""
+    assert json.loads(out)["ratio"] >= 0.52941176
+
+
+@pytest.mark.parametrize("args", [("--r", "0", "--optimize"),
+                                  ("--r", "0", "--alpha", "0", "--beta", "0"),
+                                  ("--r", "1e-300", "--optimize")])
+def test_fi_zero_qfi_ratio_is_undefined(capsys, args):
+    # an unsqueezed lone mode carries no phase information: FI = QFI = 0
+    code, out, err = run_cli(capsys, "fi", "phase", "--empty", "1", *args)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert (payload["value"], payload["qfi"], payload["ratio"]) == (0.0, 0.0, "undefined")
+    code, out, err = run_cli(capsys, "fi", "phase", "--empty", "1", *args, "--csv")
+    assert (code, err) == (0, "")
+    header, row = out.splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["ratio"] == "undefined"
 
 
 @pytest.mark.parametrize("fmt", [(), ("--csv",)])

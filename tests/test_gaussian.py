@@ -74,6 +74,26 @@ def test_photon_number_tiny_squeezing():
             assert via_cov == pytest.approx(mean_photon_number(g, r), rel=1e-13, abs=0)
 
 
+def test_mode_excess_is_the_sum_of_the_q_and_p_excess():
+    g = star_graph(5)
+    state = graph_state_covariance(g, 0.9)
+    np.testing.assert_allclose(state.mode_excess, state.excess_diag[:5] + state.excess_diag[5:],
+                               rtol=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("r", [1e-5, 1e-7, 1e-9])
+def test_photon_route_matches_60_digit_reference(n, r):
+    # the q and p halves of cov - I/2 cancel in their sum: summing them lost
+    # 5.7e-12, 3.2e-10 and 5.8e-08 relative on empty(1)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        e = Decimal(r).exp()
+        exact = n * ((e - 1 / e) / 2) ** 2  # n sinh^2 r
+        via_cov = photon_number_from_covariance(graph_state_covariance(empty_graph(n), r))
+        assert abs(Decimal(via_cov) - exact) <= Decimal("1e-15") * exact
+
+
 def test_covariance_symmetric():
     g = star_graph(4)
     state = graph_state_covariance(g, 0.7)

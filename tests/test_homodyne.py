@@ -1,5 +1,6 @@
 """Homodyne moment construction, Fisher information, angle optimization."""
 
+import math
 import tracemalloc
 import warnings
 
@@ -306,6 +307,55 @@ def test_optimize_deterministic():
     first = optimize_angles(g, 1.0, f, 0.0)
     second = optimize_angles(g, 1.0, f, 0.0)
     assert first == second
+
+
+# --- large phi: the angles see f phi only mod 2 pi -----------------------------
+
+
+@pytest.mark.parametrize("r", [1.0, 3.0, 5.0])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_optimize_reaches_phi_zero_optimum_at_any_finite_phi(n, r):
+    # unreduced, theta - f phi rounded theta away at |f phi| ~ 1e16 and the
+    # optimizer certified a flat landscape (FI/QFI 5e-08 on star(4), r = 5)
+    g, f = star_graph(n), np.ones(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, reference = optimize_angles(g, r, f, 0.0)
+        for phi in (1e6, 1e16, -1e300):
+            _, _, fi = optimize_angles(g, r, f, phi)
+            assert fi == pytest.approx(reference, rel=1e-12, abs=0)
+
+
+def _shifted(f, phi, angles):
+    """Angles minus f_j phi mod 2 pi: the phi = 0 setting equivalent to phi."""
+    return np.array([a - math.fmod(fj * phi, 2.0 * math.pi) for a, fj in zip(angles, f)])
+
+
+def test_large_phi_ansatz_is_the_shifted_phi_zero_ansatz():
+    g, r, phi, alpha, beta = star_graph(5), 1.0, 1e16, 0.7, 1.9
+    # one leaf responsivity: the sector, bit for bit
+    f = np.array([1.5, 2.0, 2.0, 2.0, 2.0])
+    a0, b0 = _shifted(f[[0, 1]], phi, (alpha, beta))
+    assert (fi_star_ansatz(g, r, f, phi, alpha, beta, "phase")
+            == fi_star_ansatz(g, r, f, 0.0, a0, b0, "phase"))
+    # two leaf responsivities: the grouped route against one slot per vertex
+    f = np.array([1.0, 0.5, 1.5, 0.5, 1.5])
+    per_vertex = homodyne._grouped_fi_function(g, r, f, 0.0, np.arange(g.n), "phase")
+    expected = per_vertex(_shifted(f, phi, [alpha] + [beta] * 4))
+    assert fi_star_ansatz(g, r, f, phi, alpha, beta, "phase") == pytest.approx(expected,
+                                                                              rel=1e-12)
+
+
+def test_large_phi_phase_moments_are_the_shifted_phi_zero_moments():
+    rng = np.random.default_rng(20)
+    g, r, phi = multipartite_graph(2, 2), 1.0, 1e16
+    f, theta = rng.uniform(-2.0, 2.0, g.n), rng.uniform(0.0, 2.0 * np.pi, g.n)
+    at_phi = phase_measurement_moments(g, r, f, phi, HomodyneSetting(theta))
+    at_zero = phase_measurement_moments(g, r, f, 0.0, HomodyneSetting(_shifted(f, phi, theta)))
+    np.testing.assert_allclose(at_phi.sigma_m, at_zero.sigma_m, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(at_phi.d_sigma, at_zero.d_sigma, rtol=1e-12, atol=1e-12)
+    assert gaussian_fisher_information(at_phi) == pytest.approx(
+        gaussian_fisher_information(at_zero), rel=1e-12)
 
 
 # --- symmetric-sector route of the star ansatz --------------------------------

@@ -91,6 +91,17 @@ def test_phase_generic_vacuum_zero():
     assert qfi_phase_generic(state, [1.0, 1.0]) == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("g", [empty_graph(1), empty_graph(3), star_graph(3)],
+                         ids=lambda g: g.label)
+def test_phase_generic_keeps_its_digits_at_small_r(g):
+    # the generic route once summed d_a^2 over the q and p halves of
+    # cov - I/2, which cancel: 2.9e-08 relative on empty(3) at r = 1e-9
+    f = np.ones(g.n)
+    for r in np.geomspace(1e-3, 1e-12, 10):
+        generic = qfi_phase_generic(graph_state_covariance(g, r), f)
+        assert generic == pytest.approx(qfi_phase_closed_form(g, r, f), rel=1e-15, abs=0)
+
+
 def test_phase_closed_vs_generic_random():
     rng = np.random.default_rng(57)
     for _ in range(30):
