@@ -18,17 +18,13 @@ import sys
 
 import numpy as np
 
-from . import figures, oracle
-from .gaussian import (check_finite, graph_state_covariance, mean_photon_number,
-                       squeeze_for_photon_budget)
+from . import figures, oracle, qfi
+from .gaussian import check_finite, mean_photon_number, squeeze_for_photon_budget
 from .graph import (EdgelessGraphError, adjacency_square_sum, chi_disp,
                     chi_phase, empty_graph, load_edge_list,
                     multipartite_graph, rectangular_graph, star_graph,
                     trace_power)
 from .homodyne import fi_star_ansatz, optimize_angles, saturate_displacement
-from .qfi import qfi, qfi_displacement, qfi_phase_generic
-
-CROSS_CHECK_TOL = 1e-9
 
 
 def _fmt(v):
@@ -119,9 +115,7 @@ def run_graph_info(params, stream):
 
 def run_qfi(params, stream):
     g, modality, r, f = _query(params)
-    state = graph_state_covariance(g, r)
-    closed = qfi(g, r, f, modality)
-    cross = (qfi_phase_generic if modality == "phase" else qfi_displacement)(state, f)
+    closed, cross = qfi.cross_check(g, r, f, modality)
     diff = oracle.rel_error(closed, cross)
     payload = {
         "value": closed,
@@ -136,7 +130,7 @@ def run_qfi(params, stream):
         "f": list(f),
     }
     stream.write(render(payload, list(payload) if params["csv"] else None))
-    if diff > CROSS_CHECK_TOL:
+    if diff > oracle.QFI_TOL:
         stream.write(f"cross-check failed: relative difference {diff:.3e}\n")
         return 1
     return 0
@@ -155,7 +149,7 @@ def run_fi(params, stream):
         alpha = check_finite(params["alpha"], "--alpha")
         beta = check_finite(params["beta"], "--beta")
         fi = fi_star_ansatz(g, r, f, phi, alpha, beta, modality)
-    q = qfi(g, r, f, modality)
+    q = qfi.qfi(g, r, f, modality)
     payload = {"value": fi, "modality": modality, "graph": g.label, "n": g.n, "r": r,
                "n_bar": mean_photon_number(g, r), "phi": phi, "alpha": alpha,
                "beta": beta, "qfi": q, "ratio": fi / q if q else "undefined"}

@@ -94,6 +94,8 @@ def saturation_rows(modality, r_values=(1.0, 3.0), n_values=range(2, 9), phi=0.0
 def figure_table(name, n_max=DEFAULT_N_MAX, ntilde_max=10.0, phi=0.0):
     """Dispatch a figure name to (columns, rows, warnings)."""
     if name in ("fig2", "fig4"):
+        if not 0.0 < ntilde_max < np.inf:  # also rejects NaN
+            raise ValueError(f"ntilde_max must be finite and positive, got {ntilde_max:g}")
         rows, warn = scaling_rows("phase" if name == "fig2" else "displacement",
                                   ntilde_values=(1.0, float(ntilde_max)), n_max=n_max)
         return FIG2_COLUMNS, rows, warn

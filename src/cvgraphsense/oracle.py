@@ -11,17 +11,15 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import qfi
 from .gaussian import (graph_state_covariance, mean_photon_number,
                        photon_number_from_covariance)
 from .graph import (Graph, empty_graph, multipartite_graph, rectangular_graph,
                     star_graph)
 from .homodyne import (HomodyneSetting, displacement_measurement_moments,
                        phase_measurement_moments)
-from .qfi import (qfi_displacement, qfi_displacement_closed_form,
-                  qfi_phase_closed_form, qfi_phase_generic)
 
-PHASE_TOL = 1e-9
-DISPLACEMENT_TOL = 1e-9
+QFI_TOL = 1e-9  # relative, qfi.cross_check's two routes
 PHOTON_TOL = 1e-12
 DERIVATIVE_TOL = 1e-6  # absolute, finite differences with step 1e-5
 FD_STEP = 1e-5
@@ -42,15 +40,11 @@ class EquivalenceReport:
         return asdict(self)
 
 
-def _report(name, case_count, max_err, worst, tol):
-    return EquivalenceReport(name=name, case_count=case_count,
-                             max_rel_error=float(max_err), worst_case=worst,
-                             tolerance=tol, passed=bool(max_err <= tol))
-
-
 def rel_error(a, b) -> float:
-    """|a - b| over max(|a|, |b|, 1e-30); survives exact zeros."""
-    return abs(a - b) / max(abs(a), abs(b), 1e-30)
+    """|a - b| / max(|a|, |b|) with no floor, so that subnormal values compare
+    as strictly as any others; |a - b| (0, or NaN) where that maximum is 0."""
+    diff, scale = abs(a - b), max(abs(a), abs(b))
+    return diff / scale if scale else diff
 
 
 def central_difference(func, x, h) -> float:
@@ -82,46 +76,65 @@ def _case_graphs(case_count, rng):
     return graphs
 
 
-def _describe(g, r, extra=""):
-    return f"{g.label} r={r:.6f}{extra}"
+def _compare(name, case_count, seed, tol, case):
+    """Worst error of one suite over case_count draws.
 
-
-def _compare(name, case_count, seed, tol, f_modes, routes):
-    """Worst relative error between two routes to one quantity.
-
-    Each case draws r, then (f_modes > 0) f with f_modes * n entries, and
-    evaluates routes(g, r, f), which returns the two values to compare.
+    Each draw takes a graph and r, then case(g, r, rng) draws the rest and
+    returns (error, detail); detail follows "label r=..." in worst_case.
     """
     rng = np.random.default_rng(seed)
     worst_err, worst = 0.0, ""
     for g in _case_graphs(case_count, rng):
         r = rng.uniform(0.0, 2.0)
-        f = rng.uniform(-2.0, 2.0, f_modes * g.n) if f_modes else None
-        err = rel_error(*routes(g, r, f))
+        err, detail = case(g, r, rng)
         if err > worst_err:
-            worst_err, worst = err, _describe(g, r)
-    return _report(name, case_count, worst_err, worst, tol)
+            worst_err, worst = err, f"{g.label} r={r:.6f}{detail}"
+    return EquivalenceReport(name=name, case_count=case_count,
+                             max_rel_error=float(worst_err), worst_case=worst,
+                             tolerance=tol, passed=bool(worst_err <= tol))
 
 
 def run_phase_equivalence(case_count, seed) -> EquivalenceReport:
     """Closed-form phase QFI vs the generic covariance trace form."""
-    return _compare("phase_equivalence", case_count, seed, PHASE_TOL, 1,
-                    lambda g, r, f: (qfi_phase_closed_form(g, r, f),
-                                     qfi_phase_generic(graph_state_covariance(g, r), f)))
+    return _compare("phase_equivalence", case_count, seed, QFI_TOL, lambda g, r, rng: (
+        rel_error(*qfi.cross_check(g, r, rng.uniform(-2.0, 2.0, g.n), "phase")), ""))
 
 
 def run_displacement_equivalence(case_count, seed) -> EquivalenceReport:
     """Two-square displacement closed form vs the quadratic form."""
-    return _compare("displacement_equivalence", case_count, seed, DISPLACEMENT_TOL, 2,
-                    lambda g, r, f: (qfi_displacement_closed_form(g, r, f),
-                                     qfi_displacement(graph_state_covariance(g, r), f)))
+    return _compare("displacement_equivalence", case_count, seed, QFI_TOL, lambda g, r, rng: (
+        rel_error(*qfi.cross_check(g, r, rng.uniform(-2.0, 2.0, 2 * g.n), "displacement")), ""))
 
 
 def run_photon_identity(case_count, seed) -> EquivalenceReport:
     """Photon-number formula vs the covariance-trace evaluation."""
-    return _compare("photon_identity", case_count, seed, PHOTON_TOL, 0,
-                    lambda g, r, f: (mean_photon_number(g, r),
-                                     photon_number_from_covariance(graph_state_covariance(g, r))))
+    return _compare("photon_identity", case_count, seed, PHOTON_TOL, lambda g, r, rng: (
+        rel_error(mean_photon_number(g, r),
+                  photon_number_from_covariance(graph_state_covariance(g, r))), ""))
+
+
+def _derivative_case(g, r, rng):
+    """One draw of run_fi_derivative_check: (worst deviation, " phi=...")."""
+    phi = rng.uniform(0.0, 2.0 * np.pi)
+    theta = HomodyneSetting(rng.uniform(0.0, 2.0 * np.pi, g.n))
+
+    f = rng.uniform(-2.0, 2.0, g.n)
+    m = phase_measurement_moments(g, r, f, phi, theta)
+    fd = central_difference(
+        lambda p: phase_measurement_moments(g, r, f, p, theta).sigma_m, phi, FD_STEP)
+    upper = np.triu_indices(g.n)
+    err = float(np.max(np.abs(m.d_sigma[upper] - fd[upper])))
+    err = max(err, float(np.max(np.abs(m.d_omega))))  # omega identically 0
+
+    f2 = rng.uniform(-2.0, 2.0, 2 * g.n)
+    md = displacement_measurement_moments(g, r, f2, phi, theta)
+    up = displacement_measurement_moments(g, r, f2, phi + FD_STEP, theta)
+    down = displacement_measurement_moments(g, r, f2, phi - FD_STEP, theta)
+    fd_omega = (up.omega - down.omega) / (2.0 * FD_STEP)
+    err = max(err, float(np.max(np.abs(md.d_omega - fd_omega))))
+    fd_sigma = (up.sigma_m[0, 0] - down.sigma_m[0, 0]) / (2.0 * FD_STEP)
+    err = max(err, abs(md.d_sigma[0, 0] - fd_sigma))  # sigma is phi-independent
+    return err, f" phi={phi:.4f}"
 
 
 def run_fi_derivative_check(case_count, seed) -> EquivalenceReport:
@@ -130,34 +143,7 @@ def run_fi_derivative_check(case_count, seed) -> EquivalenceReport:
     The reported figure is the worst ABSOLUTE deviation across all matrix
     entries, both modalities.
     """
-    rng = np.random.default_rng(seed)
-    worst_err, worst = 0.0, ""
-    for g in _case_graphs(case_count, rng):
-        r = rng.uniform(0.0, 2.0)
-        phi = rng.uniform(0.0, 2.0 * np.pi)
-        theta = HomodyneSetting(rng.uniform(0.0, 2.0 * np.pi, g.n))
-
-        f = rng.uniform(-2.0, 2.0, g.n)
-        m = phase_measurement_moments(g, r, f, phi, theta)
-        fd = central_difference(
-            lambda p: phase_measurement_moments(g, r, f, p, theta).sigma_m, phi, FD_STEP)
-        upper = np.triu_indices(g.n)
-        err = float(np.max(np.abs(m.d_sigma[upper] - fd[upper])))
-        err = max(err, float(np.max(np.abs(m.d_omega))))  # omega identically 0
-
-        f2 = rng.uniform(-2.0, 2.0, 2 * g.n)
-        md = displacement_measurement_moments(g, r, f2, phi, theta)
-        up = displacement_measurement_moments(g, r, f2, phi + FD_STEP, theta)
-        down = displacement_measurement_moments(g, r, f2, phi - FD_STEP, theta)
-        fd_omega = (up.omega - down.omega) / (2.0 * FD_STEP)
-        err = max(err, float(np.max(np.abs(md.d_omega - fd_omega))))
-        fd_sigma = (up.sigma_m[0, 0] - down.sigma_m[0, 0]) / (2.0 * FD_STEP)
-        err = max(err, abs(md.d_sigma[0, 0] - fd_sigma))  # sigma is phi-independent
-
-        if err > worst_err:
-            worst_err, worst = err, _describe(g, r, f" phi={phi:.4f}")
-    return _report("fi_derivative_check", case_count, worst_err, worst,
-                   DERIVATIVE_TOL)
+    return _compare("fi_derivative_check", case_count, seed, DERIVATIVE_TOL, _derivative_case)
 
 
 SUITES = {

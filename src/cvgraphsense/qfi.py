@@ -16,7 +16,7 @@ included for the scaling figures.
 
 import numpy as np
 
-from .gaussian import GaussianState, check_f, check_r
+from .gaussian import GaussianState, check_f, check_r, graph_state_covariance
 from .graph import Graph, trace_power
 
 
@@ -121,6 +121,15 @@ def qfi(g: Graph, r, f, modality) -> float:
     if modality == "displacement":
         return qfi_displacement_closed_form(g, r, f)
     raise ValueError(f"unknown modality {modality!r}")
+
+
+def cross_check(g: Graph, r, f, modality):
+    """(closed form, covariance route) of the QFI: qfi() and the generic form
+    that reads graph_state_covariance(g, r) alone. `qfi` and `verify` compare
+    the two with oracle.rel_error."""
+    closed = qfi(g, r, f, modality)
+    state = graph_state_covariance(g, r)
+    return closed, (qfi_phase_generic if modality == "phase" else qfi_displacement)(state, f)
 
 
 def qfi_phase_star_asymptote(n, n_bar, f) -> float:

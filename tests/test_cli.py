@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from cvgraphsense import cli, figures, oracle
+from cvgraphsense import qfi as qfi_module
 from cvgraphsense.cli import main, parse_f
 from cvgraphsense.gaussian import squeeze_for_photon_budget
 from cvgraphsense.graph import adjacency_square_sum, empty_graph, star_graph, trace_power
@@ -127,6 +128,34 @@ def test_qfi_displacement_nullifier_cross_check_fails(capsys):
     assert value == pytest.approx(2.0 * np.exp(-10.0), rel=1e-12, abs=0.0)
     assert message == "cross-check failed: relative difference 2.656e-08\n"
     assert err == ""
+
+
+def test_qfi_and_verify_share_one_cross_check(monkeypatch, capsys):
+    # a stub for the one closed-form/covariance pair fails both commands
+    monkeypatch.setattr(qfi_module, "cross_check", lambda g, r, f, modality: (1.0, 1.1))
+    code, out, _ = run_cli(capsys, "qfi", "phase", "--star", "3", "--r", "1")
+    assert code == 1
+    assert out.endswith("cross-check failed: relative difference 9.091e-02\n")
+    code, out, _ = run_cli(capsys, "verify", "phase", "--cases", "3")
+    assert code == 1
+    assert json.loads(out)[0]["passed"] is False
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    # subnormal closed forms: the routes differ by 5.7e-3, and 1e-323 against 0
+    (("--star", "3", "--r", "1", "--f", "1e-161"), 1,
+     "cross-check failed: relative difference 5.710e-03\n"),
+    (("--empty", "1", "--r", "1e-162"), 1,
+     "cross-check failed: relative difference 1.000e+00\n"),
+    (("--star", "3", "--r", "1", "--f", "1e-20"), 0, ""),
+])
+def test_qfi_cross_check_has_no_absolute_floor(capsys, argv, code, message):
+    got, out, err = run_cli(capsys, "qfi", "phase", *argv)
+    payload, tail = out.rsplit("}\n", 1)
+    assert (got, tail, err) == (code, message, "")
+    if code == 0:
+        diff = json.loads(payload + "}")["rel_difference"]
+        assert diff == pytest.approx(2.0e-16, rel=0.01, abs=0.0)
 
 
 def test_qfi_target_photon_budget(capsys):
@@ -389,6 +418,18 @@ def test_figure_reaches_large_n(capsys, name):
             expected = (2.0 * np.exp(2.0 * r) * (n + 2 * t2 + adjacency_square_sum(g))
                         + 2.0 * np.exp(-2.0 * r) * n)
         assert last[column] == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig4"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("output", [False, True])
+def test_figure_rejects_bad_ntilde_max(tmp_path, capsys, name, value, output):
+    out_path = tmp_path / "t.csv"
+    output_args = ("--output", str(out_path)) if output else ()
+    code, out, err = run_cli(capsys, "figure", name, "--ntilde-max", value, *output_args)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ntilde_max must be finite and positive") and err.count("\n") == 1
+    assert not out_path.exists()
 
 
 def test_figure_json_mode(capsys):

@@ -10,9 +10,8 @@ import pytest
 from cvgraphsense import oracle
 from cvgraphsense.oracle import (
     DERIVATIVE_TOL,
-    DISPLACEMENT_TOL,
-    PHASE_TOL,
     PHOTON_TOL,
+    QFI_TOL,
     SUITES,
     central_difference,
     rel_error,
@@ -46,20 +45,24 @@ def test_rel_error():
     assert rel_error(0.0, 0.0) == 0.0
     assert rel_error(2.0, 1.0) == pytest.approx(0.5)
     assert rel_error(0.0, 1e-20) == pytest.approx(1.0)
+    # no absolute floor: the two routes of `qfi phase --star 3 --r 1 --f 1e-161`
+    assert rel_error(5.161997868e-320, 5.191641806e-320) == pytest.approx(5.7e-3, rel=0.01)
+    assert rel_error(1e-323, 0.0) == 1.0
+    assert np.isnan(rel_error(0.0, float("nan")))
 
 
 def test_phase_suite_passes():
     rep = run_phase_equivalence(200, seed=42)
     assert rep.passed
     assert rep.case_count == 200
-    assert rep.max_rel_error <= PHASE_TOL
-    assert rep.tolerance == PHASE_TOL
+    assert rep.max_rel_error <= QFI_TOL
+    assert rep.tolerance == QFI_TOL
 
 
 def test_displacement_suite_passes():
     rep = run_displacement_equivalence(200, seed=42)
     assert rep.passed
-    assert rep.max_rel_error <= DISPLACEMENT_TOL
+    assert rep.max_rel_error <= QFI_TOL
 
 
 def test_photon_suite_passes():

@@ -9,9 +9,11 @@ command it prints one line:
 
     exit-code  sha256(stdout)  sha256(stderr)  [file=sha256(file) ...]  | command
 
-with SRC_DIR in stderr (a warning names its source file) replaced by `SRC`,
-and one hash for every file in the directory after the command. Digests are
-cut to 16 hex digits. Comparing two checkouts is then one diff:
+with SRC_DIR in stderr (a warning names its source file) replaced by `SRC`
+and the `:LINE` after such a file dropped, so that moving a line of the
+program is not an output change, and one hash for every file in the
+directory after the command. Digests are cut to 16 hex digits. Comparing
+two checkouts is then one diff:
 
     diff <(python tools/output_record.py PARENT/src) <(python tools/output_record.py src)
 
@@ -24,6 +26,7 @@ import contextlib
 import hashlib
 import io
 import os
+import re
 import shlex
 import sys
 import tempfile
@@ -45,6 +48,9 @@ CORPUS = [
     "qfi phase --star 3 --r 1 --f=1,-1,0.5 --csv", "qfi phase --star 3 --r=-0.5 --f=-1,2,0.5",
     "qfi phase --empty 3 --r 1e-5", "qfi phase --empty 3 --r 1e-9", "qfi phase --empty 1 --r 1e-12",
     "qfi phase --star 3 --r 1e-7 --csv", "qfi displacement --star 3 --r 5 --f=0,-1,-1,1,0,0",
+    # subnormal QFI values fail the cross-check (exit 1); tiny but normal ones pass
+    "qfi phase --star 3 --r 1 --f 1e-161", "qfi phase --empty 1 --r 1e-162",
+    "qfi phase --star 3 --r 1 --f 1e-20",
     # fi: optimized, fixed angles, non-uniform f, large phi, zero QFI
     "fi phase --star 4 --r 1 --optimize", "fi phase --star 4 --r 1 --optimize --csv",
     "fi displacement --star 4 --r 1 --alpha 1.2 --beta 0.4 --csv",
@@ -63,6 +69,8 @@ CORPUS = [
     "figure fig2 --n-max 64 --output out.csv", "figure fig2 --output fig2.csv", "figure fig3",
     "figure fig3 --phi 0.3", "figure fig3 --phi 1e16", "figure fig5 --json", "figure fig2 --json",
     "figure fig2 --n-max 4 --ntilde-max 1e300",
+    *(f"figure {name} --ntilde-max {t}{out}" for name in ("fig2", "fig4")
+      for t in ("nan", "inf", "0", "-1") for out in ("", " --output out.csv")),
     # the benchmark's operations (perfbench/workloads.py), less its two edge-list
     # files, with fixed angles where it draws them from its seed
     *(f"fi {m} --star {n} --r {r} --optimize"
@@ -107,7 +115,8 @@ def run(entry, argv, src):
         except Exception:  # a traceback, recorded as such
             code = "traceback"
             traceback.print_exc()
-    return code, out.getvalue(), err.getvalue().replace(src, "SRC")
+    return code, out.getvalue(), re.sub(r"(SRC/\S*?\.py):\d+", r"\1",
+                                        err.getvalue().replace(src, "SRC"))
 
 
 def main(argv=None):
