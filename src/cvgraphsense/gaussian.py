@@ -11,6 +11,7 @@ so the q block is (e^{2r}/2) I, the q-p block (e^{2r}/2) A, and the state is
 pure: det(2 cov) = 1.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,32 +56,33 @@ def check_finite(value, name) -> float:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GaussianState:
-    """Zero-mean Gaussian state: mode count, covariance, and, computed without
-    cancellation at small r, the diagonal of E = cov - I/2 and its per-mode
-    sums E_qq,jj + E_pp,jj."""
+    """Zero-mean Gaussian state: mode count, covariance S = `cov`, the diagonal of
+    E = S - I/2 and its per-mode sums E_qq,jj + E_pp,jj, free of cancellation as r -> 0. A graph
+    state (`graph`, `r` set) forms its dense 2n x 2n `cov` on first read; others hold it."""
 
     n: int
     cov: np.ndarray
     excess_diag: np.ndarray
     mode_excess: np.ndarray
 
+    def __init__(self, n, cov, excess_diag, mode_excess, graph=None, r=None):
+        vars(self).update(n=n, excess_diag=excess_diag, mode_excess=mode_excess, graph=graph, r=r)
+        if graph is None:
+            vars(self)["cov"] = cov  # shadows the lazy `cov` below
+
+    @functools.cached_property
+    def cov(self):  # a graph state's S, formed on first read
+        a, eye, x = self.graph.adjacency.astype(float), np.eye(self.n), np.exp(2.0 * self.r)
+        pp = x * adjacency_squared(self.graph) + np.exp(-2.0 * self.r) * eye
+        return 0.5 * np.block([[x * eye, x * a], [x * a, pp]])
+
 
 def graph_state_covariance(g: Graph, r) -> GaussianState:
-    """Covariance matrix of the graph state built on g with squeezing r."""
+    """The graph state built on g with squeezing r (see GaussianState)."""
     r = check_r(r)
-    n = g.n
-    x = np.exp(2.0 * r)
-    cov = np.zeros((2 * n, 2 * n))
-    qq, qp, pq, pp = cov[:n, :n], cov[:n, n:], cov[n:, :n], cov[n:, n:]
-    np.fill_diagonal(qq, 0.5 * x)
-    np.take(g.rows, g.classes, axis=0, out=qp, mode="clip")  # A = U[c], unbuffered
-    qp *= 0.5 * x
-    pq[...] = qp
-    np.multiply(adjacency_squared(g), x, out=pp)
-    pp[np.diag_indices(n)] += np.exp(-2.0 * r)
-    pp *= 0.5
+    n, x = g.n, np.exp(2.0 * r)
     # cov - I/2 on the diagonal: (e^{2r} - 1)/2 on q, (e^{-2r} - 1 + e^{2r} deg)/2
     # on p, with expm1 so that nothing cancels as r -> 0
     excess_q, x_deg = 0.5 * np.expm1(2.0 * r), x * g.degrees()
@@ -89,7 +91,7 @@ def graph_state_covariance(g: Graph, r) -> GaussianState:
     excess[n:] = 0.5 * (np.expm1(-2.0 * r) + x_deg)
     # and their per-mode sums as (x - 1)^2 / (2x) + x deg / 2, where the halves would cancel
     mode_excess = 2.0 * excess_q * excess_q / x + 0.5 * x_deg
-    return GaussianState(n=n, cov=cov, excess_diag=excess, mode_excess=mode_excess)
+    return GaussianState(n, None, excess, mode_excess, graph=g, r=r)
 
 
 def _photon_number(n, t2, r):

@@ -178,10 +178,8 @@ def trace_power(g: Graph, k) -> int:
 
 
 def adjacency_squared(g: Graph) -> np.ndarray:
-    """A^2 in float64, exact: the class Gram matrix G of g expanded in
-    O(n^2); without twins it is the read-only G = A A^T itself."""
-    c = g.classes
-    return g.gram if len(g.gram) == g.n else g.gram.take(c, axis=0).take(c, axis=1)
+    """A^2 in float64, exact: the class Gram matrix G of g expanded in O(n^2)."""
+    return g.gram.take(g.classes, axis=0).take(g.classes, axis=1)
 
 
 def adjacency_square_sum(g: Graph) -> int:

@@ -1,17 +1,13 @@
 """Quantum Fisher information of graph-state probes.
 
 Two sensing modalities are covered. Phase sensing rotates each mode by
-f_j * phi; its QFI has a closed form in the adjacency matrix and an
-independent generic form on the covariance S alone: purity gives
-S^-1 = -4 Omega S Omega, so F = 2 d^T (S o S) d - |f|^2 with d = (f, f)
-needs no inverse; it is summed as 2 d^T (E o E) d + 2 sum_a d_a^2 E_aa with
-E = S - I/2, free of the O(1) cancellation as r -> 0.
-Displacement sensing shifts the state along a quadrature combination with
-coefficients f (length 2n); its QFI is the quadratic form 4 f^T cov f,
-with a closed form for graph states that is a sum of two squares.
-
-The asymptotic benchmark expressions for star and separable probes are
-included for the scaling figures.
+f_j * phi; displacement sensing shifts the state along a quadrature
+combination with coefficients f (length 2n). Each QFI has a closed form for
+graph states and an independent generic form on the entries of the
+covariance S: 2 d^T (S o S) d - |f|^2 (phase, pure states) and 4 f^T S f
+(displacement). The generic forms read a graph state's S through its q/p
+blocks; the 2n x 2n matrix is read only from a state that was built on one.
+The large-budget asymptotes of star and separable probes serve the scaling figures.
 """
 
 import numpy as np
@@ -83,19 +79,37 @@ def qfi_phase_generic(state: GaussianState, f) -> float:
 
     where the |f|^2 term cancels exactly and m_j = e_{q_j} + e_{p_j} is
     state.mode_excess, whose terms share one sign: as r -> 0 nothing cancels.
-    Cross-checked against qfi_phase_closed_form by the oracle suite.
+    On a graph state's blocks (h = e^{2r}/2), qp = pq = h A gives 2 h^2 f^T A f
+    as A_jk^2 = A_jk, and pp = h A^2 is squared 256 rows of G[c] at a time.
     """
     f = check_f(f, state.n, "phase")
-    d = np.concatenate((f, f))
-    sq = np.square(state.cov)
-    np.fill_diagonal(sq, np.square(state.excess_diag))
-    return 2.0 * float(d @ (sq @ d)) + 2.0 * float(np.square(f) @ state.mode_excess)
+    sq_f, e, n, g = np.square(f), state.excess_diag, state.n, state.graph
+    if g is None:
+        d, sq = np.concatenate((f, f)), np.square(state.cov)
+        np.fill_diagonal(sq, np.square(e))
+        return 2.0 * float(d @ (sq @ d)) + 2.0 * float(sq_f @ state.mode_excess)
+    h, c, pp_f = 0.5 * np.exp(2.0 * state.r), g.classes, np.empty(n)
+    for s in range(0, n, 256):
+        block = np.square(h * g.gram.take(c[s:s + 256], axis=0).take(c, axis=1))
+        np.fill_diagonal(block[:, s:], 0.0)  # the diagonal of E o E is e^2
+        pp_f[s:s + 256] = block @ f
+    diag = float(sq_f @ np.square(e[:n])) + float(sq_f @ np.square(e[n:]))
+    qp = 2.0 * h * h * float(f @ (g.rows @ f)[c])
+    return 2.0 * ((diag + qp) + float(f @ pp_f)) + 2.0 * float(sq_f @ state.mode_excess)
 
 
 def qfi_displacement(state: GaussianState, f) -> float:
-    """Displacement QFI as the quadratic form 4 f^T cov f (pure states)."""
-    f = check_f(f, state.n, "displacement")
-    return 4.0 * float(f @ state.cov @ f)
+    """Displacement QFI as the quadratic form 4 f^T S f (pure states); a graph
+    state's S f is (h f_q + h A f_p, h A f_q + (h A^2 f_p + e^{-2r} f_p / 2)),
+    h = e^{2r}/2, which keeps the e^{4r} eps loss along f_q = -A f_p."""
+    f, g = check_f(f, state.n, "displacement"), state.graph
+    if g is None:
+        return 4.0 * float(f @ state.cov @ f)
+    n, h = state.n, 0.5 * np.exp(2.0 * state.r)
+    fq, fp, a_fp = f[:n], f[n:], (g.rows @ f[n:])[g.classes]
+    s_f = np.concatenate((h * fq + h * a_fp, h * (g.rows @ fq)[g.classes]
+                          + (h * (g.rows @ a_fp)[g.classes] + 0.5 * np.exp(-2.0 * state.r) * fp)))
+    return 4.0 * float(f @ s_f)
 
 
 def qfi_displacement_closed_form(g: Graph, r, f) -> float:
@@ -125,8 +139,8 @@ def qfi(g: Graph, r, f, modality) -> float:
 
 def cross_check(g: Graph, r, f, modality):
     """(closed form, covariance route) of the QFI: qfi() and the generic form
-    that reads graph_state_covariance(g, r) alone. `qfi` and `verify` compare
-    the two with oracle.rel_error."""
+    on the blocks of graph_state_covariance(g, r) alone. `qfi` and `verify`
+    compare the two with oracle.rel_error."""
     closed = qfi(g, r, f, modality)
     state = graph_state_covariance(g, r)
     return closed, (qfi_phase_generic if modality == "phase" else qfi_displacement)(state, f)

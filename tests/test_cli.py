@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +131,21 @@ def test_qfi_displacement_nullifier_cross_check_fails(capsys):
     assert err == ""
 
 
+@pytest.mark.parametrize("argv", [("displacement", "--star", "2048"),
+                                  ("phase", "--star", "1024")], ids=["displacement", "phase"])
+def test_qfi_cross_check_forms_no_dense_covariance(capsys, argv):
+    # the 2n x 2n covariance alone takes 134 MB and 34 MB here; the block
+    # routes keep every array at 256 x n or smaller
+    tracemalloc.start()
+    try:
+        code, _, _ = run_cli(capsys, "qfi", *argv, "--r", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 16e6
+
+
 def test_qfi_and_verify_share_one_cross_check(monkeypatch, capsys):
     # a stub for the one closed-form/covariance pair fails both commands
     monkeypatch.setattr(qfi_module, "cross_check", lambda g, r, f, modality: (1.0, 1.1))
@@ -142,9 +158,9 @@ def test_qfi_and_verify_share_one_cross_check(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv, code, message", [
-    # subnormal closed forms: the routes differ by 5.7e-3, and 1e-323 against 0
+    # subnormal closed forms: the routes differ by 4.0e-3, and 1e-323 against 0
     (("--star", "3", "--r", "1", "--f", "1e-161"), 1,
-     "cross-check failed: relative difference 5.710e-03\n"),
+     "cross-check failed: relative difference 4.020e-03\n"),
     (("--empty", "1", "--r", "1e-162"), 1,
      "cross-check failed: relative difference 1.000e+00\n"),
     (("--star", "3", "--r", "1", "--f", "1e-20"), 0, ""),

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvgraphsense.gaussian import (
     graph_state_covariance,
@@ -14,8 +16,9 @@ from cvgraphsense.gaussian import (
 )
 from cvgraphsense.graph import (Graph, chi_disp, chi_phase, empty_graph, multipartite_graph,
                                 rectangular_graph, star_graph)
-from test_graph import ROW_CLASS_GRAPHS
+from test_graph import ROW_CLASS_GRAPHS, twin_graphs
 
+from cvgraphsense.oracle import QFI_TOL, rel_error
 from cvgraphsense.qfi import (
     qfi,
     qfi_displacement,
@@ -204,6 +207,51 @@ def test_phase_generic_needs_purity():
         trace_form = 0.5 * np.trace(gmat @ gmat - gmat @ np.linalg.solve(s, gmat @ s))
         agrees = qfi_phase_generic(st, f) == pytest.approx(trace_form, rel=1e-9)
         assert agrees == pure
+
+
+# --- block reads of a graph state vs reads of its matrix -------------------
+
+BLOCK_R = [-3.0, 1e-9, 1.0, 8.0]
+
+
+def _assert_block_reads_match_matrix_reads(g, r, rng):
+    """Both routes on the graph state's q/p blocks against the same routes on
+    a state built from its matrix, and, for f drawn away from the squeezed
+    nullifiers, against the closed forms."""
+    for modality, route in (("phase", qfi_phase_generic), ("displacement", qfi_displacement)):
+        f = rng.uniform(-2.0, 2.0, g.n if modality == "phase" else 2 * g.n)
+        state = graph_state_covariance(g, r)
+        blocks = route(state, f)
+        matrix = route(dataclasses.replace(state, cov=state.cov), f)
+        assert route(state, f) == blocks  # reading cov leaves the graph state on its blocks
+        assert rel_error(blocks, matrix) <= 1e-12
+        assert rel_error(blocks, qfi(g, r, f, modality)) <= QFI_TOL
+
+
+@pytest.mark.parametrize("r", BLOCK_R)
+@pytest.mark.parametrize("g", [star_graph(2), star_graph(12), multipartite_graph(3, 4),
+                               multipartite_graph(2, 1), rectangular_graph(3), empty_graph(1),
+                               empty_graph(12), rectangular_graph(80), multipartite_graph(3, 200)],
+                         ids=lambda g: g.label)  # the last two span several 256-row blocks
+def test_block_reads_match_matrix_reads_on_families(g, r):
+    _assert_block_reads_match_matrix_reads(g, r, np.random.default_rng(g.n))
+
+
+@pytest.mark.parametrize("r", BLOCK_R)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=twin_graphs().filter(lambda case: len(case[0]) <= 12), seed=st.integers(0, 2**32 - 1))
+def test_block_reads_match_matrix_reads_with_planted_twins(r, case, seed):
+    a, _ = case
+    _assert_block_reads_match_matrix_reads(Graph(len(a), a), r, np.random.default_rng(seed))
+
+
+def test_graph_state_forms_its_matrix_on_first_read():
+    state = graph_state_covariance(star_graph(5), 0.7)
+    assert "cov" not in vars(state)
+    assert qfi_displacement(state, np.ones(10)) > 0 and "cov" not in vars(state)
+    assert state.cov is state.cov
+    replaced = dataclasses.replace(state, n=5)  # built from the formed matrix
+    assert replaced.graph is None and replaced.cov is state.cov
 
 
 # --- displacement sensing --------------------------------------------------
