@@ -6,6 +6,8 @@ separable (edgeless) probe at equal total photon number, solving the squeeze
 parameter separately for each graph at every grid point.
 """
 
+import functools
+
 import numpy as np
 
 from .gaussian import squeeze_for_photon_budget
@@ -28,27 +30,6 @@ def n_grid(n_max=DEFAULT_N_MAX):
     return np.unique(np.geomspace(2, n_max, 17).round().astype(int))
 
 
-def _budget_sweep(n, targets, modality):
-    """(row, warning) per photon budget in targets, on one star and one
-    separable graph of n modes; the other entry of each pair is None."""
-    try:
-        graphs = (star_graph(n), empty_graph(n))
-    except ValueError as exc:
-        return [(None, f"omitted N_bar={t:g} at n={n}: {exc}") for t in targets]
-    f = np.ones(n if modality == "phase" else 2 * n)
-    results = []
-    for target in targets:
-        try:
-            qs, qe = (qfi(g, squeeze_for_photon_budget(g, target), f, modality)
-                      for g in graphs)
-        except ValueError as exc:
-            results.append((None, f"omitted N_bar={target:g} at n={n}: {exc}"))
-            continue
-        results.append(({"n": n, "N_bar": target, "qfi_star": qs,
-                         "qfi_separable": qe, "ratio": qs / qe}, None))
-    return results
-
-
 def scaling_rows(modality, n_fixed=10, nbar_grid=NBAR_GRID,
                  ntilde_values=DEFAULT_NTILDE, n_max=DEFAULT_N_MAX):
     """Rows of the star-vs-separable scaling table (fig2/fig4 layout).
@@ -58,14 +39,20 @@ def scaling_rows(modality, n_fixed=10, nbar_grid=NBAR_GRID,
     budget is unreachable are omitted with a warning rather than aborting.
     The graphs of each mode count are built once and serve every sweep.
     """
-    ntilde_values = [float(t) for t in ntilde_values]
-    sweeps = [_budget_sweep(n_fixed, [float(nbar) for nbar in nbar_grid], modality)]
-    by_n = [_budget_sweep(int(n), [t * int(n) for t in ntilde_values], modality)
-            for n in (n_grid(n_max) if ntilde_values else ())]
-    # by_n[i][k] is (n_i, ntilde_k); the table runs ntilde-major
-    sweeps += zip(*by_n)
-    rows = [row for sweep in sweeps for row, _ in sweep if row is not None]
-    warnings = [w for sweep in sweeps for _, w in sweep if w is not None]
+    points = [(n_fixed, float(nbar)) for nbar in nbar_grid]
+    points += [(int(n), float(t) * int(n)) for t in ntilde_values for n in n_grid(n_max)]
+    graphs = functools.cache(lambda n: (star_graph(n), empty_graph(n)))
+    rows, warnings = [], []
+    for n, target in points:
+        try:
+            pair = graphs(n)
+            f = np.ones(n if modality == "phase" else 2 * n)
+            qs, qe = (qfi(g, squeeze_for_photon_budget(g, target), f, modality) for g in pair)
+        except ValueError as exc:
+            warnings.append(f"omitted N_bar={target:g} at n={n}: {exc}")
+            continue
+        rows.append({"n": n, "N_bar": target, "qfi_star": qs,
+                     "qfi_separable": qe, "ratio": qs / qe})
     return rows, warnings
 
 

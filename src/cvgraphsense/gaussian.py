@@ -60,7 +60,9 @@ def check_finite(value, name) -> float:
 class GaussianState:
     """Zero-mean Gaussian state: mode count, covariance S = `cov`, the diagonal of
     E = S - I/2 and its per-mode sums E_qq,jj + E_pp,jj, free of cancellation as r -> 0. A graph
-    state (`graph`, `r` set) forms its dense 2n x 2n `cov` on first read; others hold it."""
+    state (`graph`, `r` set) forms its dense 2n x 2n `cov` on first read; others hold it.
+    dataclasses.replace(state, cov=M) keeps excess_diag and mode_excess, which the photon
+    number and the generic phase QFI read: for M alone pass e = diag(M) - 1/2, e[:n] + e[n:]."""
 
     n: int
     cov: np.ndarray
@@ -74,7 +76,7 @@ class GaussianState:
 
     @functools.cached_property
     def cov(self):  # a graph state's S, formed on first read
-        a, eye, x = self.graph.adjacency.astype(float), np.eye(self.n), np.exp(2.0 * self.r)
+        a, eye, x = self.graph.adjacency, np.eye(self.n), np.exp(2.0 * self.r)
         pp = x * adjacency_squared(self.graph) + np.exp(-2.0 * self.r) * eye
         return 0.5 * np.block([[x * eye, x * a], [x * a, pp]])
 

@@ -27,6 +27,10 @@ class Graph:
     l-partite graph: the families build these in O(u n). Graph(n, adjacency,
     label) hashes the rows of a dense A once, O(n^2); without twins c is the
     identity and u = n. Equality compares n and A only.
+
+    Other modules read A as g @ v = (U v)[c] or the float64 `adjacency`; only
+    the phase closed form's class sums, the generic phase QFI's blocks of A^2
+    and the grouped homodyne FI's quotient read U, c or G themselves.
     """
 
     def __init__(self, n, adjacency, label="custom"):
@@ -75,10 +79,14 @@ class Graph:
     def __hash__(self):
         return hash((self.classes.tobytes(), self.rows.tobytes()))
 
+    def __matmul__(self, v):
+        """A v = (U v)[c] for a vector v, or for each column of a matrix v."""
+        return (self.rows @ v)[self.classes]
+
     @property
     def adjacency(self) -> np.ndarray:
-        """The dense int64 matrix A = U[c], expanded anew on each read."""
-        return self.rows.astype(np.int64).take(self.classes, axis=0)
+        """The dense float64 matrix A = U[c], expanded anew on each read."""
+        return self.rows.take(self.classes, axis=0)
 
     @property
     def edge_count(self) -> int:

@@ -62,14 +62,15 @@ class HomodyneSetting:
 
 @dataclass(frozen=True)
 class MeasurementMoments:
-    """Outcome mean/covariance and their parameter derivatives; sigma_root, when
-    given, has sigma_m = sigma_root^T sigma_root and the FI factors it instead."""
+    """Outcome mean/covariance and their parameter derivatives. The moments views
+    attach sigma_root, with sigma_m = sigma_root^T sigma_root, and the FI factors
+    it instead; it is not a field, so a copy or a direct construction has None."""
 
     omega: np.ndarray
     sigma_m: np.ndarray
     d_omega: np.ndarray
     d_sigma: np.ndarray
-    sigma_root: np.ndarray | None = None
+    sigma_root = None
 
 
 def diag_trig_matrices(f, phi, theta):
@@ -124,13 +125,13 @@ def _moments_view(g: Graph, r, f, phi, setting, modality):
     if setting.theta.shape != (g.n,):
         raise ValueError(f"theta must have length {g.n}")
     psi = setting.theta[None] - _shift(f, phi, modality)
-    (root,), d_sigma, d_omega = _moments(g.rows.take(g.classes, axis=0), r, f, psi, modality)
-    sigma = root.T @ root
-    if modality == "phase":
-        return MeasurementMoments(omega=np.zeros(g.n), sigma_m=sigma, d_omega=np.zeros(g.n),
-                                  d_sigma=d_sigma[0], sigma_root=root)
-    return MeasurementMoments(omega=phi * d_omega[0], sigma_m=sigma, d_omega=d_omega[0],
-                              d_sigma=np.zeros((g.n, g.n)), sigma_root=root)
+    (root,), d_sigma, d_omega = _moments(g.adjacency, r, f, psi, modality)
+    d_omega = np.zeros(g.n) if d_omega is None else d_omega[0]
+    d_sigma = np.zeros((g.n, g.n)) if d_sigma is None else d_sigma[0]
+    m = MeasurementMoments(omega=phi * d_omega, sigma_m=root.T @ root, d_omega=d_omega,
+                           d_sigma=d_sigma)
+    object.__setattr__(m, "sigma_root", root)
+    return m
 
 
 def phase_measurement_moments(g: Graph, r, f, phi, setting: HomodyneSetting) -> MeasurementMoments:
@@ -312,15 +313,15 @@ def saturate_displacement(g: Graph, r, f):
     v = S^-1 delta makes the measured quadratures span v, so FI = QFI. Purity
     gives v = 4 Omega S f with f = (f_q, f_p), and S f = (x/2) (u, w) for
     x = e^{2r}, u = f_q + A f_p, w = A u + e^{-4r} f_p: theta = atan2(w, -u)
-    mod pi from two products (U x)[c] = A x (theta_j = 0 where u_j = w_j = 0).
+    mod pi from two products g @ x = A x (theta_j = 0 where u_j = w_j = 0).
     The FI is evaluated at theta on the grouped route, one slot per distinct
     angle (twins with equal responsivities share one).
     """
     r, f = check_r(r), check_f(f, g.n, "displacement")
     n = g.n
     fq, fp = f[:n], f[n:]
-    u = fq + (g.rows @ fp)[g.classes]
-    w = (g.rows @ u)[g.classes] + math.exp(-4.0 * r) * fp
+    u = fq + g @ fp
+    w = g @ u + math.exp(-4.0 * r) * fp
     theta = np.mod(np.arctan2(w, -u), np.pi)
     theta[theta == np.pi] = 0.0  # a tiny negative angle rounds up to pi
     angles, slots = np.unique(theta, return_inverse=True)

@@ -94,7 +94,7 @@ def qfi_phase_generic(state: GaussianState, f) -> float:
         np.fill_diagonal(block[:, s:], 0.0)  # the diagonal of E o E is e^2
         pp_f[s:s + 256] = block @ f
     diag = float(sq_f @ np.square(e[:n])) + float(sq_f @ np.square(e[n:]))
-    qp = 2.0 * h * h * float(f @ (g.rows @ f)[c])
+    qp = 2.0 * h * h * float(f @ (g @ f))
     return 2.0 * ((diag + qp) + float(f @ pp_f)) + 2.0 * float(sq_f @ state.mode_excess)
 
 
@@ -106,9 +106,9 @@ def qfi_displacement(state: GaussianState, f) -> float:
     if g is None:
         return 4.0 * float(f @ state.cov @ f)
     n, h = state.n, 0.5 * np.exp(2.0 * state.r)
-    fq, fp, a_fp = f[:n], f[n:], (g.rows @ f[n:])[g.classes]
-    s_f = np.concatenate((h * fq + h * a_fp, h * (g.rows @ fq)[g.classes]
-                          + (h * (g.rows @ a_fp)[g.classes] + 0.5 * np.exp(-2.0 * state.r) * fp)))
+    fq, fp, a_fp = f[:n], f[n:], g @ f[n:]
+    s_f = np.concatenate((h * fq + h * a_fp, h * (g @ fq)
+                          + (h * (g @ a_fp) + 0.5 * np.exp(-2.0 * state.r) * fp)))
     return 4.0 * float(f @ s_f)
 
 
@@ -117,14 +117,14 @@ def qfi_displacement_closed_form(g: Graph, r, f) -> float:
 
     F = 2 e^{2r} |f_q + A f_p|^2 + 2 e^{-2r} |f_p|^2
 
-    where f = (f_q, f_p) in block order and A f_p = (U f_p)[c] (see Graph). It
+    where f = (f_q, f_p) in block order and A f_p = g @ f_p (see Graph). It
     is 4 f^T S f with 2S = M M^T, and no term cancels, so along the squeezed
     nullifiers f_q = -A f_p it keeps its digits where 4 f^T S f loses e^{4r} eps.
     """
     r = check_r(r)
     f = check_f(f, g.n, "displacement")
     fq, fp = f[:g.n], f[g.n:]
-    u = fq + (g.rows @ fp)[g.classes]
+    u = fq + g @ fp
     return 2.0 * np.exp(2.0 * r) * float(u @ u) + 2.0 * np.exp(-2.0 * r) * float(fp @ fp)
 
 

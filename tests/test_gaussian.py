@@ -35,7 +35,7 @@ def test_single_mode_squeezed():
 
 def test_star_blocks_at_r_zero():
     g = star_graph(3)
-    a = g.adjacency.astype(float)
+    a = g.adjacency
     state = graph_state_covariance(g, 0.0)
     np.testing.assert_allclose(state.cov[:3, :3], 0.5 * np.eye(3), atol=1e-15)
     np.testing.assert_allclose(state.cov[:3, 3:], 0.5 * a, atol=1e-15)
@@ -51,7 +51,7 @@ def test_covariance_matches_block_reference():
         for r in (-1.3, 0.0, 0.4, 2.5):
             n = g.n
             x = np.exp(2.0 * r)
-            a = g.adjacency.astype(float)
+            a = g.adjacency
             reference = np.block([
                 [0.5 * x * np.eye(n), 0.5 * x * a],
                 [0.5 * x * a, 0.5 * (np.exp(-2.0 * r) * np.eye(n) + x * (a @ a))]])

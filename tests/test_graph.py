@@ -36,7 +36,7 @@ def test_star_3_adjacency():
 def test_star_spectrum():
     # star adjacency has eigenvalues +-sqrt(n-1) and zeros
     g = star_graph(5)
-    evals = np.sort(np.linalg.eigvalsh(g.adjacency.astype(float)))
+    evals = np.sort(np.linalg.eigvalsh(g.adjacency))
     np.testing.assert_allclose(evals[0], -2.0, atol=1e-12)
     np.testing.assert_allclose(evals[-1], 2.0, atol=1e-12)
     np.testing.assert_allclose(evals[1:-1], 0.0, atol=1e-12)
@@ -70,7 +70,7 @@ def test_multipartite_spectrum():
     # complete multipartite K_{m,...,m}: eigenvalues (l-1)m, -m, and 0
     l, m = 4, 3
     g = multipartite_graph(l, m)
-    evals = np.sort(np.linalg.eigvalsh(g.adjacency.astype(float)))
+    evals = np.sort(np.linalg.eigvalsh(g.adjacency))
     np.testing.assert_allclose(evals[-1], (l - 1) * m, atol=1e-9)
     np.testing.assert_allclose(evals[: l - 1], -m, atol=1e-9)
 
@@ -211,6 +211,13 @@ def _assert_matches_dense(g, a):
         assert trace_power(g, k) == np.trace(np.linalg.matrix_power(a, k))
     np.testing.assert_array_equal(adjacency_squared(g), a2)
     assert adjacency_square_sum(g) == a2.sum()
+    # A v for a vector and for the columns of a matrix; integer entries, so
+    # exact in any summation order
+    v = np.random.default_rng(g.n).integers(-9, 10, (g.n, 2)).astype(float)
+    np.testing.assert_array_equal(g @ v[:, 0], a @ v[:, 0])
+    np.testing.assert_array_equal(g @ v, a @ v)
+    assert g.adjacency.dtype == np.float64
+    np.testing.assert_array_equal(g.adjacency, a)
 
 
 @pytest.mark.parametrize("spec", SMALL_FAMILIES, ids=str)
@@ -376,7 +383,7 @@ def test_trace_power_matches_eigenvalues():
         n = int(rng.integers(2, 12))
         a = np.triu((rng.random((n, n)) < 0.5).astype(int), k=1)
         g = Graph(n, a + a.T)
-        ev = np.linalg.eigvalsh(g.adjacency.astype(float))
+        ev = np.linalg.eigvalsh(g.adjacency)
         for k in (2, 3, 4, 5):
             assert trace_power(g, k) == pytest.approx(np.sum(ev**k), abs=1e-6)
 

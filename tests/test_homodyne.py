@@ -1,5 +1,6 @@
 """Homodyne moment construction, Fisher information, angle optimization."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -166,6 +167,21 @@ def test_fi_zero_derivatives():
     m = MeasurementMoments(omega=np.zeros(2), sigma_m=np.eye(2),
                            d_omega=np.zeros(2), d_sigma=np.zeros((2, 2)))
     assert gaussian_fisher_information(m) == 0.0
+
+
+def test_replaced_moments_factor_their_own_sigma():
+    # the root the moments views attach does not survive a copy with a new sigma_M
+    m = phase_measurement_moments(star_graph(3), 1.0, np.ones(3), 0.0,
+                                  HomodyneSetting([0.3, 1.1, 1.1]))
+    assert m.sigma_root is not None
+    scaled = dataclasses.replace(m, sigma_m=4.0 * m.sigma_m)
+    direct = MeasurementMoments(omega=m.omega, sigma_m=4.0 * m.sigma_m, d_omega=m.d_omega,
+                                d_sigma=m.d_sigma)
+    assert scaled.sigma_root is None and direct.sigma_root is None
+    fi = gaussian_fisher_information(m)
+    assert fi == pytest.approx(42.737, rel=1e-4)
+    assert gaussian_fisher_information(scaled) == gaussian_fisher_information(direct)
+    assert gaussian_fisher_information(scaled) == pytest.approx(fi / 16.0, rel=1e-12)
 
 
 def test_fi_rejects_indefinite_sigma():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvgraphsense.gaussian import (
+    GaussianState,
     graph_state_covariance,
     mean_photon_number,
     squeeze_for_photon_budget,
@@ -123,7 +124,7 @@ def test_phase_closed_vs_generic_random():
 def _elementwise_phase_qfi(g, r, f):
     """The closed form summed entry by entry over n x n arrays."""
     f = np.asarray(f, dtype=float)
-    a = g.adjacency.astype(float)
+    a = g.adjacency
     a2 = a @ a
     e4r = np.exp(4.0 * r)
     ff = np.outer(f, f)
@@ -200,7 +201,12 @@ def test_phase_generic_needs_purity():
     g = star_graph(4)
     f = np.array([1.0, 0.5, -0.3, 2.0])
     state = graph_state_covariance(g, 0.8)
-    mixed = dataclasses.replace(state, cov=1.5 * state.cov)
+    # built from M alone: dataclasses.replace(state, cov=M) would keep the graph's diagonal
+    m = 1.5 * state.cov
+    e = np.diag(m) - 0.5
+    mixed = GaussianState(4, m, e, e[:4] + e[4:])
+    d = np.concatenate((f, f))
+    assert rel_error(qfi_phase_generic(mixed, f), 2.0 * d @ (m * m) @ d - f @ f) <= 1e-12
     gmat = np.block([[np.zeros((4, 4)), np.diag(f)], [-np.diag(f), np.zeros((4, 4))]])
     for st, pure in ((state, True), (mixed, False)):
         s = st.cov

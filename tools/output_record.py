@@ -3,29 +3,30 @@
     python tools/output_record.py SRC_DIR
 
 imports `cvgraphsense` from SRC_DIR (a checkout's `src/`) and runs every
-command of CORPUS in process, each entry in a fresh temporary directory; the
-commands of one entry share it, so a saved manifest can be replayed. For each
-command it prints one line:
+command of CORPUS in process, each entry in a fresh temporary directory that
+holds the two fixed edge lists of EDGE_FILES; the commands of one entry share
+it, so a saved manifest can be replayed. For each command it prints one line:
 
     exit-code  sha256(stdout)  sha256(stderr)  [file=sha256(file) ...]  | command
 
 with SRC_DIR in stderr (a warning names its source file) replaced by `SRC`
 and the `:LINE` after such a file dropped, so that moving a line of the
-program is not an output change, and one hash for every file in the
-directory after the command. Digests are cut to 16 hex digits. Comparing
-two checkouts is then one diff:
+program is not an output change, the temporary directory in stdout and
+stderr (an edge list's label is its absolute path) replaced by `TMP`, and
+one hash for every file the commands wrote to the directory. Digests are cut
+to 16 hex digits. Comparing two checkouts is then one diff:
 
     diff <(python tools/output_record.py PARENT/src) <(python tools/output_record.py src)
 
 BLAS runs on one thread and `--help` is formatted at 80 columns, so the record
-depends on the program alone. `--edges` is left out of the corpus: its labels
-carry the file's absolute path.
+depends on the program alone.
 """
 
 import contextlib
 import hashlib
 import io
 import os
+import random
 import re
 import shlex
 import sys
@@ -36,6 +37,20 @@ from pathlib import Path
 
 REPLAY = "--manifest m.json"
 TWO_VALUED = ",".join(["1"] + ["0.5", "1.5"] * 7 + ["0.5"])
+
+
+def edge_list(n, adjacent):
+    """Edge-list text of the graph on vertices 1..n with the pairs j < k where adjacent(j, k)."""
+    pairs = [(j, k) for j in range(1, n + 1) for k in range(j + 1, n + 1) if adjacent(j, k)]
+    return f"{n}\n" + "".join(f"{j} {k}\n" for j, k in pairs)
+
+
+# a twin-free random graph (every row class one vertex, u = n) and one whose
+# vertices j share the rows of their class j mod 5 (planted twins, u < n)
+EDGE_FILES = {
+    "random.edges": edge_list(24, lambda j, k: random.Random(100 * j + k).random() < 0.3),
+    "twins.edges": edge_list(30, lambda j, k: j % 5 != k % 5 and (j + k) % 5 in (1, 4)),
+}
 
 # one entry per directory: a command, or a tuple of commands run in order
 CORPUS = [
@@ -83,6 +98,10 @@ CORPUS = [
     "qfi displacement --star 2048 --r 1",
     "fi phase --star 512 --r 1 --alpha 5.372412 --beta 1.118303",
     "fi displacement --star 1024 --r 1 --alpha 0.813920 --beta 4.211975",
+    # edge lists, with and without twins
+    *(f"{command} --edges {name}{args}" for name in EDGE_FILES
+      for command, args in (("graph-info", ""), ("qfi phase", " --r 1"),
+                            ("qfi displacement", " --r 1"), ("fi displacement", " --r 1 --optimize"))),
     # usage errors (exit 2)
     "qfi phase --star 3", "qfi phase --star 3 --r 11", "qfi phase --star 3 --r 1 --f 1,2",
     "fi phase --star 4 --r 1", "fi phase --star 4 --r 1 --optimize --alpha 1",
@@ -103,8 +122,8 @@ def digest(data):
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def run(entry, argv, src):
-    """(exit code, stdout, stderr) of one in-process command."""
+def run(entry, argv, src, tmp):
+    """(exit code, stdout, stderr) of one in-process command run in tmp."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings():  # entering resets "once per location"
@@ -115,8 +134,8 @@ def run(entry, argv, src):
         except Exception:  # a traceback, recorded as such
             code = "traceback"
             traceback.print_exc()
-    return code, out.getvalue(), re.sub(r"(SRC/\S*?\.py):\d+", r"\1",
-                                        err.getvalue().replace(src, "SRC"))
+    err = re.sub(r"(SRC/\S*?\.py):\d+", r"\1", err.getvalue().replace(src, "SRC"))
+    return code, out.getvalue().replace(tmp, "TMP"), err.replace(tmp, "TMP")
 
 
 def main(argv=None):
@@ -136,11 +155,15 @@ def main(argv=None):
     for entry in CORPUS:
         with tempfile.TemporaryDirectory() as tmp:
             os.chdir(tmp)
+            for name, text in EDGE_FILES.items():
+                Path(name).write_text(text, encoding="utf-8")
             try:
                 for command in (entry,) if isinstance(entry, str) else entry:
-                    code, out, err = run(cvgraphsense.cli.main, shlex.split(command), src)
+                    code, out, err = run(cvgraphsense.cli.main, shlex.split(command), src,
+                                         os.getcwd())
                     files = [f"{p.relative_to(tmp)}={digest(p.read_bytes())}"
-                             for p in sorted(Path(tmp).rglob("*")) if p.is_file()]
+                             for p in sorted(Path(tmp).rglob("*"))
+                             if p.is_file() and p.name not in EDGE_FILES]
                     print(code, digest(out.encode()), digest(err.encode()), *files, "|", command)
             finally:
                 os.chdir(home)
