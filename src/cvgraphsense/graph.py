@@ -25,8 +25,9 @@ class Graph:
     2^53. All are read-only: c, U and reps are set at construction, G on its
     first read. u = 2 on a star, 1 on the empty graph, l on the complete
     l-partite graph: the families build these in O(u n). Graph(n, adjacency,
-    label) hashes the rows of a dense A once, O(n^2); without twins c is the
-    identity and u = n. Equality compares n and A only.
+    label) hashes the rows of a dense A once, O(n^2), graph_from_edges each
+    vertex's sorted neighbours, O(m log m + u n) for m pairs; without twins c is
+    the identity and u = n. Equality compares n and A only.
 
     Other modules read A as g @ v = (U v)[c] or the float64 `adjacency`; only
     the phase closed form's class sums, the generic phase QFI's blocks of A^2
@@ -39,18 +40,16 @@ class Graph:
             raise ValueError(f"adjacency must be {n}x{n}, got {a.shape}")
         if not a.size or a.view(np.uint64).max() <= 1:  # negative entries wrap to > 1
             a = a.astype(bool)  # other entries keep their values for validation
-        first = {}  # key: the row's bytes; value: its first vertex
-        raw = [first.setdefault(row.tobytes(), j) for j, row in enumerate(a)]
-        reps = np.array(list(first.values()), dtype=np.intp)
-        # first vertices ascend, so their rank numbers the classes 0..u-1
-        self._store(n, a.take(reps, axis=0), reps.searchsorted(raw), reps, label)
+        classes, reps = _row_classes(map(np.ndarray.tobytes, a))
+        self._store(n, a.take(reps, axis=0), classes, reps, label)
 
-    def _store(self, n, rows, classes, reps, label):
+    def _store(self, n, rows, classes, reps, label, keys=None):
         """Validate and set A = rows[classes], reps the first vertex of each class."""
         self.n, self.label = n, label
-        self.__post_init__(rows, classes, reps)
-        self.rows, self.classes, self.reps = rows.astype(float), classes, np.asarray(reps)
-        self._degrees = rows.sum(axis=1, dtype=np.int64).take(classes)
+        self.__post_init__(rows, classes, reps, keys)
+        self.rows, self.classes, self.reps = rows.astype(float, copy=False), classes, np.asarray(reps)
+        self._degrees = (rows.sum(axis=1, dtype=np.int64).take(classes) if keys is None
+                         else np.bincount(keys // n, minlength=n))
         for array in (self.rows, self.classes, self.reps, self._degrees):
             array.flags.writeable = False
         return self
@@ -61,15 +60,21 @@ class Graph:
         gram.flags.writeable = False
         return gram
 
-    def __post_init__(self, rows, classes, reps):
-        """Validation in O(u n), timed by perfbench as graph.validate. With M =
-        U[:, reps], A = U[c] is symmetric iff U = M.T[:, c]; then A_jj = M[c[j], c[j]]."""
-        m = rows.take(reps, axis=1)
-        if not (rows == m.T.take(classes, axis=1)).all():
+    def __post_init__(self, rows, classes, reps, keys=None):
+        """Validation, timed by perfbench as graph.validate. With M = U[:, reps], A = U[c]
+        is symmetric iff U = M.T[:, c]; then A_jj = M[c[j], c[j]]: O(u n). From the sorted
+        keys j n + k of A_jk = 1, O(m log m): symmetric iff they equal their swaps sorted."""
+        if keys is None:
+            m = rows.take(reps, axis=1)
+            symmetric, loops = (rows == m.T.take(classes, axis=1)).all(), m.diagonal().any()
+        else:
+            j, k = np.divmod(keys, self.n)
+            symmetric, loops = np.array_equal(keys, np.sort(k * self.n + j)), (j == k).any()
+        if not symmetric:
             raise ValueError("adjacency must be symmetric")
-        if m.diagonal().any():
+        if loops:
             raise ValueError("adjacency must have zero diagonal (no self-loops)")
-        if rows.dtype != bool and (rows.min() < 0 or rows.max() > 1):
+        if keys is None and rows.dtype != bool and (rows.min() < 0 or rows.max() > 1):
             raise ValueError("adjacency entries must be 0 or 1")
 
     def __eq__(self, other):  # len(classes) == n
@@ -100,22 +105,44 @@ def graph_from_edges(n, edges, label="custom") -> Graph:
     """Build a graph from 1-based unordered vertex pairs; duplicates collapse.
 
     The first self-loop, or pair out of range or not integral, raises ValueError.
+    U is scattered from the sorted keys j n + k of A's ones: no n x n array forms.
     """
     if n < 1:
         raise ValueError("vertex count must be positive")
-    try:
-        e = np.array(edges, dtype=np.int64).reshape(len(edges), 2)
-    except OverflowError:  # beyond int64, hence out of range: compare exactly
-        e = np.array(edges, dtype=object).reshape(len(edges), 2)
+    e = _integers(edges).reshape(len(edges), 2)
     bad = np.flatnonzero((e[:, 0] == e[:, 1])
                          | ((e < 1) | (e > n) | (e != np.reshape(edges, e.shape))).any(axis=1))
     if bad.size:
         i, j = edges[bad[0]]
         raise ValueError(f"self-loop ({i},{j}) is not allowed" if i == j
                          else f"edge ({i},{j}) out of range for n={n}")
-    a = np.zeros((n, n), dtype=np.int64)
-    a[e[:, 0] - 1, e[:, 1] - 1] = a[e[:, 1] - 1, e[:, 0] - 1] = 1
-    return Graph(n, a, label)
+    if int(n) ** 2 > np.iinfo(np.int64).max:  # the keys j n + k must fit in int64
+        raise ValueError(f"vertex count {n} is too large")
+    keys = np.sort(((e - 1) @ [[n, 1], [1, n]]).ravel())  # A_jk = 1 as j n + k, row by row
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    j, k = np.divmod(keys, n)
+    ends = np.bincount(j, minlength=n).cumsum().tolist()
+    row = k.tobytes()  # vertex v's neighbours, ascending, are row[8 ends[v-1]:8 ends[v]]
+    classes, reps = _row_classes(row[8 * a:8 * b] for a, b in zip([0] + ends, ends))
+    rows = np.zeros((len(reps), n))
+    rows[classes[j], k] = 1.0  # twins write the same row
+    return Graph.__new__(Graph)._store(n, rows, classes, reps, label, keys)
+
+
+def _integers(values):
+    """values as int64, or as exact Python ints if one is beyond int64 (so out of range)."""
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return np.asarray(values, dtype=object)
+
+
+def _row_classes(rows):
+    """(c, reps) of the vertices' rows of A, as bytes, numbered by first occurrence."""
+    first = {}  # key: a row; value: its first vertex
+    raw = [first.setdefault(row, j) for j, row in enumerate(rows)]
+    reps = np.array(list(first.values()), dtype=np.intp)
+    return reps.searchsorted(raw), reps
 
 
 def _complete_multipartite(classes, reps, label) -> Graph:
@@ -221,26 +248,25 @@ def parse_edge_list(text, label="custom") -> Graph:
     """Parse the edge-list text format.
 
     First non-comment line is the vertex count n; each following line is an
-    edge "i j" with 1-based indices. Lines starting with '#' are ignored.
+    edge "i j" with 1-based indices. Lines starting with '#' are ignored. A
+    ValueError names the first line of the wrong shape or not of integers.
     """
-    n = None
-    edges = []
+    ints = []  # the vertex count, then the two indices of each edge
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
-        if n is None:
-            if len(parts) != 1:
-                raise ValueError(f"line {lineno}: expected the vertex count, got {raw!r}")
-            n = int(parts[0])
-            continue
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'i j', got {raw!r}")
-        edges.append((int(parts[0]), int(parts[1])))
-    if n is None:
+        if len(parts) != (2 if ints else 1):
+            expected = "'i j'" if ints else "the vertex count"
+            raise ValueError(f"line {lineno}: expected {expected}, got {raw!r}")
+        try:
+            ints += map(int, parts)
+        except ValueError:
+            expected = "integer vertex indices 'i j'" if ints else "an integer vertex count"
+            raise ValueError(f"line {lineno}: expected {expected}, got {raw!r}") from None
+    if not ints:
         raise ValueError("edge-list input is empty")
-    return graph_from_edges(n, edges, label)
+    return graph_from_edges(ints[0], _integers(ints[1:]).reshape(-1, 2), label)
 
 
 def load_edge_list(path) -> Graph:

@@ -77,6 +77,19 @@ def test_graph_info_from_edge_file(tmp_path, capsys):
     assert payload["edge_count"] == 2
 
 
+@pytest.mark.parametrize("text,message", [
+    ("2\n1 2.5\n", "line 2: expected integer vertex indices 'i j', got '1 2.5'"),
+    ("2.5\n1 2\n", "line 1: expected an integer vertex count, got '2.5'"),
+    # n^2 is beyond int64: refused before anything of size n is formed
+    ("10000000000\n1 2\n", "vertex count 10000000000 is too large"),
+])
+def test_graph_info_malformed_edge_file(tmp_path, capsys, text, message):
+    path = tmp_path / "g.edges"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "graph-info", "--edges", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_qfi_phase_star3(capsys):
     code, out, _ = run_cli(capsys, "qfi", "phase", "--star", "3", "--r", "0", "--f", "1")
     assert code == 0

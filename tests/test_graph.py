@@ -1,8 +1,10 @@
 """Graph constructors, edge-list parsing, and trace invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvgraphsense.gaussian import graph_state_covariance
@@ -147,6 +149,18 @@ def test_parse_edge_list_bad_line():
         parse_edge_list("")
 
 
+@pytest.mark.parametrize("text,message", [
+    ("2\n1 2.5\n", "line 2: expected integer vertex indices 'i j', got '1 2.5'"),
+    ("# count\n\n 2.5\n1 2\n", "line 3: expected an integer vertex count, got ' 2.5'"),
+    ("3\n1 2\n# x y\nx 3\n2 3 4\n", "line 4: expected integer vertex indices 'i j', got 'x 3'"),
+    ("3\n1 2\n2 3 4\nx 3\n", "line 3: expected 'i j', got '2 3 4'"),
+])
+def test_parse_edge_list_names_first_malformed_line(text, message):
+    with pytest.raises(ValueError) as exc:
+        parse_edge_list(text)
+    assert str(exc.value) == message
+
+
 def test_graph_validation():
     with pytest.raises(ValueError):
         Graph(2, np.array([[0, 1], [0, 0]]))  # asymmetric
@@ -244,6 +258,72 @@ def test_graph_equality_and_hash():
     table = {star: "star", empty_graph(5): "empty", multipartite_graph(2, 1): "edge"}
     assert table[from_edges] == "star"
     assert table[graph_from_edges(2, [(2, 1)])] == "edge"
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, pairs): duplicates, both orientations, any order, isolated vertices
+    and planted false twins (vertices copying the neighbours of a base vertex)."""
+    n = draw(st.integers(1, 12))
+    pairs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n))
+                          .filter(lambda p: p[0] != p[1]), max_size=30))
+    base = {j for p in pairs for j in p}
+    for twin, copied in draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)),
+                                      max_size=3)):
+        if twin not in base:  # a vertex of no pair copies the row of another one
+            pairs += [(twin, k) for i, k in pairs if i == copied and k != twin]
+            pairs += [(k, twin) for k, i in pairs if i == copied and k != twin]
+    if pairs:  # repeated pairs, some reversed
+        pairs += draw(st.lists(st.sampled_from(pairs).flatmap(
+            lambda p: st.sampled_from([p, p[::-1]])), max_size=5))
+    return n, draw(st.permutations(pairs))
+
+
+def _dense_from_pairs(n, pairs):
+    a = np.zeros((n, n), dtype=int)
+    for i, j in pairs:
+        a[i - 1, j - 1] = a[j - 1, i - 1] = 1
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_lists(), st.sampled_from(["tuples", "array", "text"]))
+@example((1, []), "tuples").via("no edges")
+@example((4, []), "array").via("no edges")
+@example((4, []), "text").via("no edges")
+def test_edge_built_graph_equals_dense_built_graph(case, form):
+    n, pairs = case
+    dense = Graph(n, _dense_from_pairs(n, pairs), "label")
+    if form == "text":
+        g = parse_edge_list(f"{n}\n" + "".join(f"{i} {j}\n" for i, j in pairs), "label")
+    else:
+        edges = np.array(pairs, dtype=np.int64).reshape(-1, 2) if form == "array" else pairs
+        g = graph_from_edges(n, edges, "label")
+    for mine, ref in zip((g.rows, g.classes, g.reps, g.degrees()),
+                         (dense.rows, dense.classes, dense.reps, dense.degrees())):
+        assert mine.dtype == ref.dtype and mine.shape == ref.shape
+        assert mine.tobytes() == ref.tobytes()  # the same bits
+        assert not mine.flags.writeable
+    assert (g.n, g.edge_count, g.label) == (dense.n, dense.edge_count, dense.label)
+    assert g == dense and hash(g) == hash(dense)
+
+
+def test_edge_list_build_forms_no_dense_matrix():
+    # the float64 U (8 u n bytes) is the one array of n x n size: a dense
+    # int64 matrix or a second copy of U would exceed the bound
+    rng = np.random.default_rng(24)
+    n = 2048
+    pairs = rng.integers(1, n + 1, (21000, 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    for build in (lambda: rectangular_graph(512), lambda: graph_from_edges(n, pairs)):
+        tracemalloc.start()
+        try:
+            g = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.n == n and len(g.reps) == n  # twin-free: u = n
+        assert peak <= 1.25 * g.rows.nbytes
 
 
 @st.composite

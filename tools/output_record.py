@@ -4,7 +4,7 @@
 
 imports `cvgraphsense` from SRC_DIR (a checkout's `src/`) and runs every
 command of CORPUS in process, each entry in a fresh temporary directory that
-holds the two fixed edge lists of EDGE_FILES; the commands of one entry share
+holds the fixed edge lists of EDGE_FILES; the commands of one entry share
 it, so a saved manifest can be replayed. For each command it prints one line:
 
     exit-code  sha256(stdout)  sha256(stderr)  [file=sha256(file) ...]  | command
@@ -46,10 +46,17 @@ def edge_list(n, adjacent):
 
 
 # a twin-free random graph (every row class one vertex, u = n) and one whose
-# vertices j share the rows of their class j mod 5 (planted twins, u < n)
+# vertices j share the rows of their class j mod 5 (planted twins, u < n);
+# a hand-written list with comments, blank lines, duplicate and reversed pairs,
+# isolated vertices and a vertex count above its largest index; a list with a
+# token that is not an integer
 EDGE_FILES = {
     "random.edges": edge_list(24, lambda j, k: random.Random(100 * j + k).random() < 0.3),
     "twins.edges": edge_list(30, lambda j, k: j % 5 != k % 5 and (j + k) % 5 in (1, 4)),
+    "messy.edges": ("# vertices 5, 11 and 12 have no edge\n12\n\n1 2\n2 1\n3 1\n1 3\n"
+                    "  2 4 \n4 3\n# a second component\n6 7\n7 8\n8 6\n\n9 7\n"
+                    "9 8\n10 6\n10 7\n10 8\n7 6\n"),
+    "malformed.edges": "2\n1 2.5\n",
 }
 
 # one entry per directory: a command, or a tuple of commands run in order
@@ -98,10 +105,13 @@ CORPUS = [
     "qfi displacement --star 2048 --r 1",
     "fi phase --star 512 --r 1 --alpha 5.372412 --beta 1.118303",
     "fi displacement --star 1024 --r 1 --alpha 0.813920 --beta 4.211975",
-    # edge lists, with and without twins
-    *(f"{command} --edges {name}{args}" for name in EDGE_FILES
+    # edge lists, with and without twins, and the hand-written and malformed ones
+    *(f"{command} --edges {name}{args}" for name in ("random.edges", "twins.edges")
       for command, args in (("graph-info", ""), ("qfi phase", " --r 1"),
                             ("qfi displacement", " --r 1"), ("fi displacement", " --r 1 --optimize"))),
+    *(f"{command} --edges {name}{args}" for name in ("messy.edges", "malformed.edges")
+      for command, args in (("graph-info", ""), ("qfi phase", " --r 1"),
+                            ("qfi displacement", " --r 1"))),
     # usage errors (exit 2)
     "qfi phase --star 3", "qfi phase --star 3 --r 11", "qfi phase --star 3 --r 1 --f 1,2",
     "fi phase --star 4 --r 1", "fi phase --star 4 --r 1 --optimize --alpha 1",
