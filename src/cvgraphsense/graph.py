@@ -40,16 +40,18 @@ class Graph:
             raise ValueError(f"adjacency must be {n}x{n}, got {a.shape}")
         if not a.size or a.view(np.uint64).max() <= 1:  # negative entries wrap to > 1
             a = a.astype(bool)  # other entries keep their values for validation
-        classes, reps = _row_classes(map(np.ndarray.tobytes, a))
-        self._store(n, a.take(reps, axis=0), classes, reps, label)
+        first = {}  # key: the row's bytes; value: its first vertex
+        raw = [first.setdefault(row.tobytes(), j) for j, row in enumerate(a)]
+        reps = np.array(list(first.values()), dtype=np.intp)
+        # first vertices ascend, so their rank numbers the classes 0..u-1
+        self._store(n, a.take(reps, axis=0), reps.searchsorted(raw), reps, label)
 
-    def _store(self, n, rows, classes, reps, label, keys=None):
+    def _store(self, n, rows, classes, reps, label, keys=None, degrees=None):
         """Validate and set A = rows[classes], reps the first vertex of each class."""
         self.n, self.label = n, label
         self.__post_init__(rows, classes, reps, keys)
         self.rows, self.classes, self.reps = rows.astype(float, copy=False), classes, np.asarray(reps)
-        self._degrees = (rows.sum(axis=1, dtype=np.int64).take(classes) if keys is None
-                         else np.bincount(keys // n, minlength=n))
+        self._degrees = rows.sum(axis=1, dtype=np.int64).take(classes) if degrees is None else degrees
         for array in (self.rows, self.classes, self.reps, self._degrees):
             array.flags.writeable = False
         return self
@@ -61,9 +63,8 @@ class Graph:
         return gram
 
     def __post_init__(self, rows, classes, reps, keys=None):
-        """Validation, timed by perfbench as graph.validate. With M = U[:, reps], A = U[c]
-        is symmetric iff U = M.T[:, c]; then A_jj = M[c[j], c[j]]: O(u n). From the sorted
-        keys j n + k of A_jk = 1, O(m log m): symmetric iff they equal their swaps sorted."""
+        """Validation, timed by perfbench as graph.validate: U = M.T[:, c] and diag M = 0 for
+        M = U[:, reps], O(u n), or the keys j n + k of A's ones equal their swaps, O(m log m)."""
         if keys is None:
             m = rows.take(reps, axis=1)
             symmetric, loops = (rows == m.T.take(classes, axis=1)).all(), m.diagonal().any()
@@ -102,13 +103,12 @@ class Graph:
 
 
 def graph_from_edges(n, edges, label="custom") -> Graph:
-    """Build a graph from 1-based unordered vertex pairs; duplicates collapse.
+    """Build a graph from 1-based unordered vertex pairs, with no n x n array.
 
-    The first self-loop, or pair out of range or not integral, raises ValueError.
-    U is scattered from the sorted keys j n + k of A's ones: no n x n array forms.
-    """
-    if n < 1:
-        raise ValueError("vertex count must be positive")
+    Duplicates collapse; the first self-loop, or pair out of range or not integral,
+    raises ValueError, as does a vertex count whose keys j n + k would pass int64."""
+    if n < 1 or int(n) ** 2 > np.iinfo(np.int64).max:
+        raise ValueError("vertex count must be positive" if n < 1 else f"vertex count {n} is too large")
     e = _integers(edges).reshape(len(edges), 2)
     bad = np.flatnonzero((e[:, 0] == e[:, 1])
                          | ((e < 1) | (e > n) | (e != np.reshape(edges, e.shape))).any(axis=1))
@@ -116,17 +116,20 @@ def graph_from_edges(n, edges, label="custom") -> Graph:
         i, j = edges[bad[0]]
         raise ValueError(f"self-loop ({i},{j}) is not allowed" if i == j
                          else f"edge ({i},{j}) out of range for n={n}")
-    if int(n) ** 2 > np.iinfo(np.int64).max:  # the keys j n + k must fit in int64
-        raise ValueError(f"vertex count {n} is too large")
     keys = np.sort(((e - 1) @ [[n, 1], [1, n]]).ravel())  # A_jk = 1 as j n + k, row by row
     keys = keys[np.diff(keys, prepend=-1) != 0]
     j, k = np.divmod(keys, n)
-    ends = np.bincount(j, minlength=n).cumsum().tolist()
-    row = k.tobytes()  # vertex v's neighbours, ascending, are row[8 ends[v-1]:8 ends[v]]
-    classes, reps = _row_classes(row[8 * a:8 * b] for a, b in zip([0] + ends, ends))
+    degrees = np.bincount(j, minlength=n)  # the first array of size n: too large an n fails here
+    vs = np.flatnonzero(degrees)  # the vertices with neighbours, whose runs follow in k
+    ends = (8 * degrees[vs].cumsum()).tolist()  # vs[i]'s run is row[ends[i-1]:ends[i]]
+    row, first = k.tobytes(), {}  # first: key, a run's bytes; value, its first vertex
+    raw = np.full(n, degrees.argmin())  # isolated vertices, if any, share the first one's row
+    raw[vs] = [first.setdefault(row[a:b], v) for v, a, b in zip(vs.tolist(), [0] + ends, ends)]
+    reps = np.flatnonzero(raw == np.arange(n))  # a class's first vertex is its own first twin
+    classes = reps.searchsorted(raw)
     rows = np.zeros((len(reps), n))
     rows[classes[j], k] = 1.0  # twins write the same row
-    return Graph.__new__(Graph)._store(n, rows, classes, reps, label, keys)
+    return Graph.__new__(Graph)._store(n, rows, classes, reps, label, keys, degrees)
 
 
 def _integers(values):
@@ -135,14 +138,6 @@ def _integers(values):
         return np.asarray(values, dtype=np.int64)
     except OverflowError:
         return np.asarray(values, dtype=object)
-
-
-def _row_classes(rows):
-    """(c, reps) of the vertices' rows of A, as bytes, numbered by first occurrence."""
-    first = {}  # key: a row; value: its first vertex
-    raw = [first.setdefault(row, j) for j, row in enumerate(rows)]
-    reps = np.array(list(first.values()), dtype=np.intp)
-    return reps.searchsorted(raw), reps
 
 
 def _complete_multipartite(classes, reps, label) -> Graph:
@@ -249,8 +244,7 @@ def parse_edge_list(text, label="custom") -> Graph:
 
     First non-comment line is the vertex count n; each following line is an
     edge "i j" with 1-based indices. Lines starting with '#' are ignored. A
-    ValueError names the first line of the wrong shape or not of integers.
-    """
+    ValueError names the first line of the wrong shape or not of integers."""
     ints = []  # the vertex count, then the two indices of each edge
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()

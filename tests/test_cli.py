@@ -90,6 +90,28 @@ def test_graph_info_malformed_edge_file(tmp_path, capsys, text, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="caps the address space")
+def test_graph_info_unallocatable_vertex_count(tmp_path):
+    # below the int64 guard, a count too large to allocate fails at the first array
+    # of size n, before any loop over the vertices; the 4 GiB address-space cap makes
+    # that so on any machine, and the timeout would catch a loop over 3e9 vertices
+    import resource
+
+    def cap():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, hard))
+
+    path = tmp_path / "g.edges"
+    path.write_text("3000000000\n1 2\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "cvgraphsense.cli", "graph-info", "--edges",
+                           str(path)], capture_output=True, text=True, env=env, timeout=60,
+                          preexec_fn=cap)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
 def test_qfi_phase_star3(capsys):
     code, out, _ = run_cli(capsys, "qfi", "phase", "--star", "3", "--r", "0", "--f", "1")
     assert code == 0

@@ -291,6 +291,8 @@ def _dense_from_pairs(n, pairs):
 @example((1, []), "tuples").via("no edges")
 @example((4, []), "array").via("no edges")
 @example((4, []), "text").via("no edges")
+@example((5, [(3, 2)]), "array").via("isolated vertices before and after the edge")
+@example((6, [(1, 2), (6, 5), (1, 5)]), "tuples").via("isolated vertices in the middle")
 def test_edge_built_graph_equals_dense_built_graph(case, form):
     n, pairs = case
     dense = Graph(n, _dense_from_pairs(n, pairs), "label")
