@@ -178,6 +178,8 @@ def run_verify(params, stream):
     cases, seed, suite = params["cases"], params["seed"], params["suite"]
     if cases < 1:
         raise ValueError("--cases must be at least 1")
+    if seed < 0:
+        raise ValueError("--seed must be non-negative")
     if suite == "all":
         reports = oracle.run_all(cases, seed)
     else:

@@ -35,6 +35,8 @@ class Graph:
     """
 
     def __init__(self, n, adjacency, label="custom"):
+        if n < 1:
+            raise ValueError("vertex count must be positive")
         a = np.asarray(adjacency, dtype=np.int64)
         if a.shape != (n, n):
             raise ValueError(f"adjacency must be {n}x{n}, got {a.shape}")

@@ -7,8 +7,10 @@ graph states and an independent generic form on the entries of the
 covariance S: 2 d^T (S o S) d - |f|^2 (phase, pure states) and 4 f^T S f
 (displacement). The generic forms read a graph state's S through its q/p
 blocks; the 2n x 2n matrix is read only from a state that was built on one.
-The large-budget asymptotes of star and separable probes serve the scaling figures.
+The large-budget star and separable asymptotes are the benchmarks of acceptance criterion 5.
 """
+
+import math
 
 import numpy as np
 
@@ -140,10 +142,17 @@ def qfi(g: Graph, r, f, modality) -> float:
 def cross_check(g: Graph, r, f, modality):
     """(closed form, covariance route) of the QFI: qfi() and the generic form
     on the blocks of graph_state_covariance(g, r) alone. `qfi` and `verify`
-    compare the two with oracle.rel_error."""
+    compare the two with oracle.rel_error. Where max|f| < 1 both run on f / s,
+    s the power of two that puts max|f / s| in [1, 2), and are scaled back by s
+    twice (s^2 may underflow): a subnormal QFI keeps its digits, and no result
+    that had no subnormal step changes a bit."""
+    r, f = check_r(r), check_f(f, g.n, modality)
+    s = math.ldexp(1.0, min(math.frexp(np.abs(f).max())[1] - 1, 0))
+    f = f / s
     closed = qfi(g, r, f, modality)
     state = graph_state_covariance(g, r)
-    return closed, (qfi_phase_generic if modality == "phase" else qfi_displacement)(state, f)
+    cross = (qfi_phase_generic if modality == "phase" else qfi_displacement)(state, f)
+    return closed * s * s, cross * s * s
 
 
 def qfi_phase_star_asymptote(n, n_bar, f) -> float:

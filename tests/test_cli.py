@@ -193,9 +193,9 @@ def test_qfi_and_verify_share_one_cross_check(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv, code, message", [
-    # subnormal closed forms: the routes differ by 4.0e-3, and 1e-323 against 0
-    (("--star", "3", "--r", "1", "--f", "1e-161"), 1,
-     "cross-check failed: relative difference 4.020e-03\n"),
+    # a subnormal QFI of tiny f keeps its digits on both routes; one of tiny r
+    # is 1e-323 against 0
+    (("--star", "3", "--r", "1", "--f", "1e-161"), 0, ""),
     (("--empty", "1", "--r", "1e-162"), 1,
      "cross-check failed: relative difference 1.000e+00\n"),
     (("--star", "3", "--r", "1", "--f", "1e-20"), 0, ""),
@@ -206,7 +206,8 @@ def test_qfi_cross_check_has_no_absolute_floor(capsys, argv, code, message):
     assert (got, tail, err) == (code, message, "")
     if code == 0:
         diff = json.loads(payload + "}")["rel_difference"]
-        assert diff == pytest.approx(2.0e-16, rel=0.01, abs=0.0)
+        expected = {"1e-161": 0.0, "1e-20": 2.0e-16}[argv[-1]]
+        assert diff == pytest.approx(expected, rel=0.01, abs=0.0)
 
 
 def test_qfi_target_photon_budget(capsys):
@@ -506,10 +507,11 @@ def test_verify_all_seed_242(capsys):
     assert all(rep["passed"] for rep in json.loads(out))
 
 
-def test_verify_rejects_zero_cases(capsys):
-    code, _, err = run_cli(capsys, "verify", "photon", "--cases", "0")
-    assert code == 2
-    assert "cases" in err
+@pytest.mark.parametrize("flag, value, message", [
+    ("--cases", "0", "error: --cases must be at least 1\n"),
+    ("--seed", "-1", "error: --seed must be non-negative\n")], ids=["cases", "seed"])
+def test_verify_rejects_zero_cases(capsys, flag, value, message):
+    assert run_cli(capsys, "verify", "photon", flag, value) == (2, "", message)
 
 
 def test_manifest_round_trip(tmp_path, capsys):

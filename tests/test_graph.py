@@ -169,6 +169,8 @@ def test_graph_validation():
     for entry in (2, -1):  # entries not 0/1
         with pytest.raises(ValueError, match="adjacency entries must be 0 or 1"):
             Graph(2, np.array([[0, entry], [entry, 0]]))
+    with pytest.raises(ValueError, match="vertex count must be positive"):
+        Graph(0, np.zeros((0, 0)))
 
 
 @pytest.mark.parametrize("rows,classes,reps,message", [

@@ -21,6 +21,7 @@ from test_graph import ROW_CLASS_GRAPHS, twin_graphs
 
 from cvgraphsense.oracle import QFI_TOL, rel_error
 from cvgraphsense.qfi import (
+    cross_check,
     qfi,
     qfi_displacement,
     qfi_displacement_closed_form,
@@ -418,3 +419,31 @@ def test_qfi_dispatches_to_closed_forms():
 def test_qfi_rejects_unknown_modality():
     with pytest.raises(ValueError, match="unknown modality"):
         qfi(star_graph(3), 1.0, np.ones(3), "amplitude")
+
+
+# --- the cross-check pair ---------------------------------------------------
+
+
+@pytest.mark.parametrize("modality", ["phase", "displacement"])
+def test_cross_check_keeps_the_digits_of_a_subnormal_qfi(modality):
+    # f = 1e-161 squares to 1e-322, below the normal range: both routes must
+    # land within two steps of the subnormal grid of c^2 F(f = 1)
+    g, c = star_graph(3), 1e-161
+    ones = np.ones(g.n if modality == "phase" else 2 * g.n)
+    reference = qfi(g, 1.0, ones, modality) * c * c
+    closed, cross = cross_check(g, 1.0, c * ones, modality)
+    assert abs(closed - reference) <= 2 * math.ulp(0.0)
+    assert abs(cross - reference) <= 2 * math.ulp(0.0)
+
+
+@pytest.mark.parametrize("modality", ["phase", "displacement"])
+def test_cross_check_scaling_leaves_normal_results_bit_identical(modality):
+    rng = np.random.default_rng(2020)
+    for n in (1, 2, 5, 8):
+        for r in (-3.0, 1e-9, 0.7, 3.0):
+            g = _random_graph(rng, n)
+            length = n if modality == "phase" else 2 * n
+            f = rng.standard_normal(length) * 10.0 ** rng.uniform(-5, 5)
+            generic = qfi_phase_generic if modality == "phase" else qfi_displacement
+            expected = (qfi(g, r, f, modality), generic(graph_state_covariance(g, r), f))
+            assert cross_check(g, r, f, modality) == expected

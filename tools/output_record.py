@@ -70,9 +70,13 @@ CORPUS = [
     "qfi phase --star 3 --r 1 --f=1,-1,0.5 --csv", "qfi phase --star 3 --r=-0.5 --f=-1,2,0.5",
     "qfi phase --empty 3 --r 1e-5", "qfi phase --empty 3 --r 1e-9", "qfi phase --empty 1 --r 1e-12",
     "qfi phase --star 3 --r 1e-7 --csv", "qfi displacement --star 3 --r 5 --f=0,-1,-1,1,0,0",
-    # subnormal QFI values fail the cross-check (exit 1); tiny but normal ones pass
-    "qfi phase --star 3 --r 1 --f 1e-161", "qfi phase --empty 1 --r 1e-162",
-    "qfi phase --star 3 --r 1 --f 1e-20",
+    # a subnormal QFI of tiny f keeps its digits (exit 0), one of tiny r fails the
+    # cross-check (exit 1), tiny but normal ones pass, a huge f overflows (exit 2);
+    # a mixed-sign f below 1 (run scaled) and one above 1 (not scaled)
+    "qfi phase --star 3 --r 1 --f 1e-161", "qfi displacement --star 3 --r 1 --f 1e-161",
+    "qfi phase --empty 1 --r 1e-162", "qfi phase --star 3 --r 1 --f 1e-20",
+    "qfi phase --star 3 --r 1 --f 1e200", "qfi phase --star 5 --r 1 --f=0.3,-0.7,0.45,0.1,-0.2",
+    "qfi displacement --star 3 --r 2 --f=3.5,-1,0.25,0,2,-0.5",
     # fi: optimized, fixed angles, non-uniform f, large phi, zero QFI
     "fi phase --star 4 --r 1 --optimize", "fi phase --star 4 --r 1 --optimize --csv",
     "fi displacement --star 4 --r 1 --alpha 1.2 --beta 0.4 --csv",
@@ -116,7 +120,8 @@ CORPUS = [
     "qfi phase --star 3", "qfi phase --star 3 --r 11", "qfi phase --star 3 --r 1 --f 1,2",
     "fi phase --star 4 --r 1", "fi phase --star 4 --r 1 --optimize --alpha 1",
     "fi phase --star 4 --r 1 --phi nan --optimize", "graph-info --star 0",
-    "qfi phase --star 4 --target-N 0.1", "verify all --cases 0", "--manifest missing.json",
+    "qfi phase --star 4 --target-N 0.1", "verify all --cases 0",
+    "verify photon --cases 1 --seed -1", "--manifest missing.json",
     "qfi phase --star 3 --r 1 --save-manifest .",
     "qfi phase --star 3 --r 1 --save-manifest missing/m.json",
     # saved manifests and their replays
