@@ -65,7 +65,7 @@ def test_criterion_1_oracle_equivalence(criterion, capsys):
     code = cli_main(["verify", "all", "--cases", "200", "--seed", "42"])
     reports = json.loads(capsys.readouterr().out)
     detail = "verify all --cases 200 --seed 42: " + "; ".join(
-        f"{rep['name']} max err {rep['max_rel_error']:.2e} (tol {rep['tolerance']:g})"
+        f"{rep['name']} max err {float(rep['max_rel_error']):.2e} (tol {rep['tolerance']:g})"
         for rep in reports)
     line = criterion(1, code == 0, detail)
     assert code == 0, line

@@ -630,11 +630,11 @@ def test_verify_refuses_non_finite_error(monkeypatch, capsys):
     def diverged(cases, seed):
         return oracle.EquivalenceReport("photon_identity", cases, float("nan"), "", 1e-12, False)
 
+    # a NaN comparison is a failed check (exit 1, valid JSON), not an overflow (exit 2)
     monkeypatch.setitem(oracle.SUITES, "photon", diverged)
     code, out, err = run_cli(capsys, "verify", "photon", "--cases", "3")
-    assert (code, out) == (2, "")
-    assert err == ("error: max_rel_error is not finite (nan); the inputs overflow double "
-                   "precision\n")
+    assert (code, err) == (1, "")
+    assert json.loads(out)[0]["max_rel_error"] == "nan"
 
 
 def test_manifest_with_old_top_level_keys_replays(tmp_path, capsys):

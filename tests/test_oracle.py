@@ -2,18 +2,17 @@
 
 import json
 
-import dataclasses
-
 import numpy as np
 import pytest
 
-from cvgraphsense import oracle
+from cvgraphsense import cli, oracle, qfi
+from cvgraphsense.graph import Graph
+from cvgraphsense.homodyne import _moments
 from cvgraphsense.oracle import (
     DERIVATIVE_TOL,
     PHOTON_TOL,
     QFI_TOL,
     SUITES,
-    central_difference,
     rel_error,
     run_all,
     run_displacement_equivalence,
@@ -21,23 +20,6 @@ from cvgraphsense.oracle import (
     run_phase_equivalence,
     run_photon_identity,
 )
-
-
-def test_central_difference_quadratic():
-    assert central_difference(lambda x: x * x, 3.0, 1e-5) == pytest.approx(6.0, abs=1e-9)
-
-
-def test_central_difference_constant():
-    assert central_difference(lambda x: 7.0, 1.0, 1e-5) == 0.0
-
-
-def test_central_difference_sin():
-    assert central_difference(np.sin, 0.0, 1e-6) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_central_difference_rejects_bad_step():
-    with pytest.raises(ValueError):
-        central_difference(np.sin, 0.0, 0.0)
 
 
 def test_rel_error():
@@ -77,14 +59,18 @@ def test_derivative_suite_passes():
     assert rep.max_rel_error <= DERIVATIVE_TOL
 
 
-def _shifted(moments, field, index):
-    """`moments` with one derivative entry off by 1e-4 (where the mode count allows)."""
-    def wrapped(g, r, f, phi, setting):
-        m = moments(g, r, f, phi, setting)
-        d = getattr(m, field).copy()
-        if d.size > index[-1]:
-            d[index] += 1e-4
-        return dataclasses.replace(m, **{field: d})
+OUTPUTS = {"d_sigma": 1, "d_omega": 2}  # `_moments` returns (B^T, d sigma_M, d omega)
+
+
+def _shifted(modality, field, index, step=1e-4):
+    """`_moments` with one entry of its `field` output moved by step in every row
+    of a `modality` call (where the mode count allows); a NaN step makes it NaN."""
+    def wrapped(a, r, f, psi, called):
+        out = _moments(a, r, f, psi, called)
+        d = out[OUTPUTS[field]]
+        if called == modality and d.shape[-1] > index[-1]:
+            d[(slice(None),) + index] += step
+        return out
     return wrapped
 
 
@@ -93,9 +79,48 @@ def _shifted(moments, field, index):
     ("displacement_measurement_moments", "d_omega", (0,)),
 ])
 def test_derivative_suite_catches_wrong_derivative(monkeypatch, name, field, index):
-    monkeypatch.setattr(oracle, name, _shifted(getattr(oracle, name), field, index))
+    # the suite reads the kernel behind the named view's field, so the shift goes there
+    modality = name.split("_")[0]
+    monkeypatch.setattr(oracle, "_moments", _shifted(modality, field, index))
     for seed in (1, 2):
         assert not run_fi_derivative_check(20, seed).passed
+
+
+def test_derivative_suite_fails_on_nan_derivative(monkeypatch):
+    monkeypatch.setattr(oracle, "_moments", _shifted("phase", "d_sigma", (0, 0), float("nan")))
+    rep = run_fi_derivative_check(20, seed=1)
+    assert not rep.passed
+    assert np.isnan(rep.max_rel_error)
+    assert rep.worst_case.startswith("star(")  # the first draw
+
+
+def test_equivalence_suite_fails_on_nan_cross_check(monkeypatch):
+    monkeypatch.setattr(qfi, "cross_check", lambda g, r, f, modality: (1.0, float("nan")))
+    rep = run_phase_equivalence(20, 1)
+    assert not rep.passed
+    assert np.isnan(rep.max_rel_error)
+    assert rep.worst_case.startswith("star(")  # the first draw
+    assert rep.to_dict()["max_rel_error"] == "nan"
+
+
+def test_verify_exits_1_on_nan_derivative(monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "_moments", _shifted("phase", "d_sigma", (0, 0), float("nan")))
+    code = cli.main(["verify", "derivatives", "--cases", "5"])
+    out = capsys.readouterr()
+    assert (code, out.err) == (1, "")
+    (report,) = json.loads(out.out)
+    assert (report["max_rel_error"], report["passed"]) == ("nan", False)
+
+
+def test_random_graph_matches_the_triu_draw():
+    # the upper-triangle expression the mask replaced, kept as the oracle
+    for n in range(1, 9):
+        for seed in range(60):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            a = np.triu((ref.random((n, n)) < 0.5).astype(np.int64), 1)
+            g = oracle._random_graph(rng, n)
+            assert g == Graph(n, a + a.T) and g.label == f"random({n})"
+            assert rng.random() == ref.random()  # the same draws consumed
 
 
 def test_suites_deterministic():

@@ -109,6 +109,8 @@ CORPUS = [
     "qfi displacement --star 2048 --r 1",
     "fi phase --star 512 --r 1 --alpha 5.372412 --beta 1.118303",
     "fi displacement --star 1024 --r 1 --alpha 0.813920 --beta 4.211975",
+    # the derivative suite over more draws, and every suite on its first (star-graph) draw
+    "verify derivatives --cases 1000 --seed 7", "verify all --cases 1 --seed 0",
     # edge lists, with and without twins, and the hand-written and malformed ones
     *(f"{command} --edges {name}{args}" for name in ("random.edges", "twins.edges")
       for command, args in (("graph-info", ""), ("qfi phase", " --r 1"),
