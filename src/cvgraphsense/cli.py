@@ -127,7 +127,7 @@ def run_qfi(params, stream):
         "n": g.n,
         "r": r,
         "N_bar": mean_photon_number(g, r),
-        "f": list(f),
+        "f": f.tolist(),
     }
     stream.write(render(payload, list(payload) if params["csv"] else None))
     if diff > oracle.QFI_TOL:

@@ -7,8 +7,12 @@ state: chi_phase = Tr(A^4)/Tr(A^2)^2 and chi_disp = sum_ij (A^2)_ij / Tr(A^2).
 """
 
 import functools
+import re
 
 import numpy as np
+
+_HEAD = r"(?:[ \t]*(?:#[^\n-\r\x1c-\x1e\x85\u2028\u2029]*)?\n)*[ \t]*[0-9]{1,18}[ \t]*(?:\n|\Z)"
+_ODD = r"(?m)^(?![ \t]*(?:[0-9]{1,18}[ \t]+[0-9]{1,18}[ \t]*|#[^\n-\r\x1c-\x1e\x85\u2028\u2029]*)?$)"
 
 
 class EdgelessGraphError(ValueError):
@@ -242,11 +246,17 @@ def chi_disp(g: Graph) -> float:
 
 
 def parse_edge_list(text, label="custom") -> Graph:
-    """Parse the edge-list text format.
+    """Parse the edge-list text format: the first non-comment line is the vertex count n,
+    each following line an edge "i j" with 1-based indices; lines starting with '#' are
+    ignored. A plain text (_HEAD, then no _ODD line: '\\n' line ends, tokens of 1-18 ASCII
+    digits, spaces, tabs, '#' lines with no other line break) takes one split; _parse_lines
+    reads any other, to the same result or ValueError. re compiles both on the first parse."""
+    plain = (head := re.match(_HEAD, text)) and not re.compile(_ODD).search(text, head.end())
+    ints = np.array(re.sub("#.*", "", text).split(), dtype=np.int64) if plain else _parse_lines(text)
+    return graph_from_edges(int(ints[0]), ints[1:].reshape(-1, 2), label)
 
-    First non-comment line is the vertex count n; each following line is an
-    edge "i j" with 1-based indices. Lines starting with '#' are ignored. A
-    ValueError names the first line of the wrong shape or not of integers."""
+
+def _parse_lines(text):
     ints = []  # the vertex count, then the two indices of each edge
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
@@ -262,7 +272,7 @@ def parse_edge_list(text, label="custom") -> Graph:
             raise ValueError(f"line {lineno}: expected {expected}, got {raw!r}") from None
     if not ints:
         raise ValueError("edge-list input is empty")
-    return graph_from_edges(ints[0], _integers(ints[1:]).reshape(-1, 2), label)
+    return _integers(ints)
 
 
 def load_edge_list(path) -> Graph:

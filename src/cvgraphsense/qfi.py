@@ -34,7 +34,7 @@ def qfi_phase_closed_form(g: Graph, r, f) -> float:
     f = check_f(f, g.n, "phase")
     e4r = np.exp(4.0 * r)
     w = np.bincount(g.classes, weights=f)
-    term1 = 2.0 * np.sinh(2.0 * r) ** 2 * float(f @ f)
+    term1 = 2.0 * s2 * float(f @ f) if (s2 := np.sinh(2.0 * r) ** 2) else 0.0  # not 0 * inf
     term2 = float(np.square(f) @ g.degrees()) + e4r * float(w @ (g.rows @ f))
     term3 = 0.5 * e4r * float(w @ np.square(g.gram) @ w)
     return term1 + term2 + term3
@@ -82,7 +82,7 @@ def qfi_phase_generic(state: GaussianState, f) -> float:
     where the |f|^2 term cancels exactly and m_j = e_{q_j} + e_{p_j} is
     state.mode_excess, whose terms share one sign: as r -> 0 nothing cancels.
     On a graph state's blocks (h = e^{2r}/2), qp = pq = h A gives 2 h^2 f^T A f
-    as A_jk^2 = A_jk, and pp = h A^2 is squared 256 rows of G[c] at a time.
+    as A_jk^2 = A_jk; pp = h A^2 is squared on 256 rows of G[c] at a time, then expanded.
     """
     f = check_f(f, state.n, "phase")
     sq_f, e, n, g = np.square(f), state.excess_diag, state.n, state.graph
@@ -92,7 +92,7 @@ def qfi_phase_generic(state: GaussianState, f) -> float:
         return 2.0 * float(d @ (sq @ d)) + 2.0 * float(sq_f @ state.mode_excess)
     h, c, pp_f = 0.5 * np.exp(2.0 * state.r), g.classes, np.empty(n)
     for s in range(0, n, 256):
-        block = np.square(h * g.gram.take(c[s:s + 256], axis=0).take(c, axis=1))
+        block = np.square(h * g.gram.take(c[s:s + 256], axis=0)).take(c, axis=1)
         np.fill_diagonal(block[:, s:], 0.0)  # the diagonal of E o E is e^2
         pp_f[s:s + 256] = block @ f
     diag = float(sq_f @ np.square(e[:n])) + float(sq_f @ np.square(e[n:]))

@@ -406,12 +406,14 @@ def test_fi_zero_qfi_ratio_is_undefined(capsys, args):
 
 @pytest.mark.parametrize("fmt", [(), ("--csv",)])
 def test_overflowing_result_is_usage_error(capsys, fmt):
-    # f_j^2 overflows: the QFI is nan, which neither format may print
-    code, out, err = run_cli(capsys, "qfi", "phase", "--star", "2", "--r", "0",
-                             "--f", "1e308", *fmt)
-    assert code == 2
-    assert out == ""
-    assert err == "error: value is not finite (nan); the inputs overflow double precision\n"
+    # f_j^2 overflows: the QFI is inf, which neither format may print; sinh^2(2r) is 0
+    # at r = 0 and underflows to 0 at r = 1e-200, where its term 0 * inf would read nan
+    for r in ("0", "1e-200"):
+        code, out, err = run_cli(capsys, "qfi", "phase", "--star", "2", "--r", r,
+                                 "--f", "1e308", *fmt)
+        assert code == 2
+        assert out == ""
+        assert err == "error: value is not finite (inf); the inputs overflow double precision\n"
 
 
 def test_overflow_in_optimizer_is_usage_error(capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cvgraphsense import graph
 from cvgraphsense.gaussian import graph_state_covariance
 from cvgraphsense.graph import (
     EdgelessGraphError,
@@ -159,6 +160,79 @@ def test_parse_edge_list_names_first_malformed_line(text, message):
     with pytest.raises(ValueError) as exc:
         parse_edge_list(text)
     assert str(exc.value) == message
+
+
+def _parse_by_lines(text):
+    """parse_edge_list as the line loop alone read every text, the reference for its
+    one-split path: the build takes the count and pairs as Python ints."""
+    ints = graph._parse_lines(text).tolist()
+    return graph_from_edges(ints[0], graph._integers(ints[1:]).reshape(-1, 2), "label")
+
+
+def _outcome(parse, text):
+    """(n and its type, graph, label) of a parse, or the text of its ValueError."""
+    try:
+        g = parse(text)
+    except ValueError as exc:
+        return str(exc)
+    return g.n, type(g.n), g, g.label
+
+
+# plain lines, which one split reads (each valid one three times as likely as the counts
+# and edges that the build refuses), and odd ones, which only the line loop reads alike
+# (a form feed, an Arabic-Indic digit, '+1', '1_0', a 19-digit token, '#' lines with
+# other line breaks) or refuses
+SKIP_LINES = ["", "  ", "\t", "# a comment", "  # #", "#\xa0kept"]
+COUNT_LINES = 3 * ["4", " 12\t", "0004"] + ["0", "1" * 18]
+EDGE_LINES = (3 * ["1 2", "  2 4 ", "3\t1", "1\t 4\t", "4 1", "2 3"]
+              + ["1 5", "2 2", "1 " + "9" * 18])
+ODD_LINES = ["\x0c", "1 2\x0c", "\u0663", "1 \u0663", "+1", "+1 2", "1_0", "1 2_0", "1" * 19,
+             "1 " + "9" * 19, "# a\rb", "# a\x1cb", "# a\u2028b", "1 2 # c", "1 2 3", "1 2 2 3",
+             "1 2.5", "x 3", "-1 2", "1 -2", "\u3000"]
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Blank and comment lines, a vertex count, then edge and blank lines, with or without
+    a final newline; in about half of them one odd line is inserted, and in about half one
+    line end is not a newline."""
+    lines = (draw(st.lists(st.sampled_from(SKIP_LINES), max_size=2))
+             + [draw(st.sampled_from(COUNT_LINES))]
+             + draw(st.lists(st.sampled_from(SKIP_LINES + EDGE_LINES), max_size=8)))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(ODD_LINES)))
+    ends = ["\n"] * len(lines)
+    if draw(st.booleans()):
+        ends[draw(st.integers(0, len(lines) - 1))] = draw(st.sampled_from(["\r\n", "\r", "\x0b",
+                                                                           "\x85", "\u2028"]))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text.removesuffix("\n")
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_list_texts())
+@example("# count\n4\n1 2\n\n  2 4 \n# end").via("plain, no final line end")
+@example("4\r\n1 2\r\n2 3\r\n").via("CRLF line ends")
+@example("4\n1\t2\x0c\n").via("a form feed")
+@example("1111111111111111111\n1 2\n").via("a 19-digit vertex count")
+@example("4\n1 2 # c\n").via("an inline comment")
+@example("").via("empty")
+@example("# a\rb\n4\n1 2\n").via("a carriage return in a comment")
+@example("4\n1 " + "9" * 19 + "\n").via("a 19-digit vertex index beyond int64")
+def test_parse_edge_list_equals_line_loop(text):
+    assert _outcome(lambda t: parse_edge_list(t, "label"), text) == _outcome(_parse_by_lines, text)
+
+
+def test_plain_text_never_reaches_line_loop(monkeypatch):
+    def refuse(text):
+        raise AssertionError("read line by line")
+
+    plain = "# a comment\n\n 4\n1 2\n  # another\n2\t3 \n3  4"
+    expected = _parse_by_lines(plain)
+    monkeypatch.setattr(graph, "_parse_lines", refuse)
+    assert _outcome(lambda t: parse_edge_list(t, "label"), plain) == (4, int, expected, "label")
+    with pytest.raises(AssertionError, match="read line by line"):
+        parse_edge_list(plain.replace("\n", "\r\n"))
 
 
 def test_graph_validation():

@@ -15,9 +15,9 @@ from cvgraphsense.gaussian import (
     mean_photon_number,
     squeeze_for_photon_budget,
 )
-from cvgraphsense.graph import (Graph, chi_disp, chi_phase, empty_graph, multipartite_graph,
-                                rectangular_graph, star_graph)
-from test_graph import ROW_CLASS_GRAPHS, twin_graphs
+from cvgraphsense.graph import (Graph, chi_disp, chi_phase, empty_graph, graph_from_edges,
+                                multipartite_graph, rectangular_graph, star_graph)
+from test_graph import ROW_CLASS_GRAPHS, _planted_twins, twin_graphs
 
 from cvgraphsense.oracle import QFI_TOL, rel_error
 from cvgraphsense.qfi import (
@@ -250,6 +250,41 @@ def test_block_reads_match_matrix_reads_on_families(g, r):
 def test_block_reads_match_matrix_reads_with_planted_twins(r, case, seed):
     a, _ = case
     _assert_block_reads_match_matrix_reads(Graph(len(a), a), r, np.random.default_rng(seed))
+
+
+def _phase_generic_on_expanded_blocks(state, f):
+    """qfi_phase_generic's graph-state route with each 256-row block of A^2 expanded to
+    n columns before it is scaled and squared: the reference for squaring on class rows."""
+    sq_f, e, n, g = np.square(f), state.excess_diag, state.n, state.graph
+    h, c, pp_f = 0.5 * np.exp(2.0 * state.r), g.classes, np.empty(n)
+    for s in range(0, n, 256):
+        block = np.square(h * g.gram.take(c[s:s + 256], axis=0).take(c, axis=1))
+        np.fill_diagonal(block[:, s:], 0.0)
+        pp_f[s:s + 256] = block @ f
+    diag = float(sq_f @ np.square(e[:n])) + float(sq_f @ np.square(e[n:]))
+    qp = 2.0 * h * h * float(f @ (g @ f))
+    return 2.0 * ((diag + qp) + float(f @ pp_f)) + 2.0 * float(sq_f @ state.mode_excess)
+
+
+def _twin_free_edge_graph(seed, n):
+    """A G(n, 1/2) graph built from its edge list, with no twins (u = n)."""
+    a = np.triu(np.random.default_rng(seed).random((n, n)) < 0.5, k=1)
+    g = graph_from_edges(n, np.argwhere(a) + 1, f"twin-free-edges({n})")
+    assert len(g.reps) == n
+    return g
+
+
+@pytest.mark.parametrize("g", [star_graph(1024), multipartite_graph(4, 256),
+                               _twin_free_edge_graph(1, 300), _twin_free_edge_graph(2, 520),
+                               _planted_twins(9, 600, 5), rectangular_graph(70)],
+                         ids=lambda g: g.label)
+def test_phase_generic_squares_class_rows_bit_identically(g):
+    # h G squared on the u class columns, then expanded: each entry rounds as before
+    rng = np.random.default_rng(g.n)
+    for r in (-1.0, 1e-9, 1.0, 3.0):
+        state = graph_state_covariance(g, r)
+        for f in (np.ones(g.n), rng.uniform(-2.0, 2.0, g.n)):
+            assert qfi_phase_generic(state, f) == _phase_generic_on_expanded_blocks(state, f)
 
 
 def test_graph_state_forms_its_matrix_on_first_read():

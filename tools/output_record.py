@@ -49,7 +49,10 @@ def edge_list(n, adjacent):
 # vertices j share the rows of their class j mod 5 (planted twins, u < n);
 # a hand-written list with comments, blank lines, duplicate and reversed pairs,
 # isolated vertices and a vertex count above its largest index; a list with a
-# token that is not an integer
+# token that is not an integer; a CRLF list, which only the line-by-line reading
+# takes, a tab-separated one with no final newline, which one split takes, and
+# three that the line-by-line reading refuses (an inline comment, two edges on
+# one line, a 19-digit vertex count)
 EDGE_FILES = {
     "random.edges": edge_list(24, lambda j, k: random.Random(100 * j + k).random() < 0.3),
     "twins.edges": edge_list(30, lambda j, k: j % 5 != k % 5 and (j + k) % 5 in (1, 4)),
@@ -57,6 +60,11 @@ EDGE_FILES = {
                     "  2 4 \n4 3\n# a second component\n6 7\n7 8\n8 6\n\n9 7\n"
                     "9 8\n10 6\n10 7\n10 8\n7 6\n"),
     "malformed.edges": "2\n1 2.5\n",
+    "crlf.edges": "# a ring\r\n4\r\n1 2\r\n2 3\r\n3 4\r\n4 1\r\n",
+    "tabs.edges": "5\n1\t2\n2\t3\n\t3\t5",
+    "inline.edges": "3\n1 2 # c\n2 3\n",
+    "two-per-line.edges": "4\n1 2 3 4\n",
+    "huge.edges": "1234567890123456789\n1 2\n",
 }
 
 # one entry per directory: a command, or a tuple of commands run in order
@@ -71,11 +79,13 @@ CORPUS = [
     "qfi phase --empty 3 --r 1e-5", "qfi phase --empty 3 --r 1e-9", "qfi phase --empty 1 --r 1e-12",
     "qfi phase --star 3 --r 1e-7 --csv", "qfi displacement --star 3 --r 5 --f=0,-1,-1,1,0,0",
     # a subnormal QFI of tiny f keeps its digits (exit 0), one of tiny r fails the
-    # cross-check (exit 1), tiny but normal ones pass, a huge f overflows (exit 2);
-    # a mixed-sign f below 1 (run scaled) and one above 1 (not scaled)
+    # cross-check (exit 1), tiny but normal ones pass, a huge f overflows (exit 2;
+    # inf, not nan, at r = 0 too); a mixed-sign f below 1 (run scaled) and one above
+    # 1 (not scaled)
     "qfi phase --star 3 --r 1 --f 1e-161", "qfi displacement --star 3 --r 1 --f 1e-161",
     "qfi phase --empty 1 --r 1e-162", "qfi phase --star 3 --r 1 --f 1e-20",
-    "qfi phase --star 3 --r 1 --f 1e200", "qfi phase --star 5 --r 1 --f=0.3,-0.7,0.45,0.1,-0.2",
+    "qfi phase --star 3 --r 1 --f 1e200", "qfi phase --star 2 --r 0 --f 1e308",
+    "qfi phase --star 5 --r 1 --f=0.3,-0.7,0.45,0.1,-0.2",
     "qfi displacement --star 3 --r 2 --f=3.5,-1,0.25,0,2,-0.5",
     # fi: optimized, fixed angles, non-uniform f, large phi, zero QFI
     "fi phase --star 4 --r 1 --optimize", "fi phase --star 4 --r 1 --optimize --csv",
@@ -118,6 +128,8 @@ CORPUS = [
     *(f"{command} --edges {name}{args}" for name in ("messy.edges", "malformed.edges")
       for command, args in (("graph-info", ""), ("qfi phase", " --r 1"),
                             ("qfi displacement", " --r 1"))),
+    *(f"{command} --edges {name}.edges" for command in ("graph-info", "qfi phase --r 1")
+      for name in ("crlf", "tabs", "inline", "two-per-line", "huge")),
     # usage errors (exit 2)
     "qfi phase --star 3", "qfi phase --star 3 --r 11", "qfi phase --star 3 --r 1 --f 1,2",
     "fi phase --star 4 --r 1", "fi phase --star 4 --r 1 --optimize --alpha 1",
