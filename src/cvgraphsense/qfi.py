@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .gaussian import GaussianState, check_f, check_r, graph_state_covariance
-from .graph import Graph, trace_power
+from .graph import Graph
 
 
 def qfi_phase_closed_form(g: Graph, r, f) -> float:
@@ -41,18 +41,9 @@ def qfi_phase_closed_form(g: Graph, r, f) -> float:
 
 
 def qfi_phase_equal_f(g: Graph, r, f_scalar) -> float:
-    """Uniform-responsivity reduction of the closed form.
-
-    F = 2 n f^2 sinh^2(2r) + (1 + e^{4r}) f^2 Tr(A^2) + (e^{4r}/2) f^2 Tr(A^4)
-    """
-    r = check_r(r)
-    fsq = float(check_f([f_scalar], 1, "phase")[0]) ** 2
-    e4r = np.exp(4.0 * r)
-    t2 = trace_power(g, 2)
-    t4 = trace_power(g, 4)
-    return (2.0 * g.n * fsq * np.sinh(2.0 * r) ** 2
-            + (1.0 + e4r) * fsq * t2
-            + 0.5 * e4r * fsq * t4)
+    """The closed form with every responsivity equal to f_scalar."""
+    r, f = check_r(r), float(check_f([f_scalar], 1, "phase")[0])
+    return qfi_phase_closed_form(g, r, np.full(g.n, f))
 
 
 def phase_generator(f) -> np.ndarray:

@@ -253,16 +253,66 @@ def test_graph_validation():
     ([[0, 1, 0], [1, 0, 0]], [0, 1, 1], [0, 1], "adjacency must be symmetric"),
     ([[1, 1], [1, 0]], [0, 1], [0, 1], "adjacency must have zero diagonal (no self-loops)"),
     ([[0, 2], [2, 0]], [0, 1], [0, 1], "adjacency entries must be 0 or 1"),
+    # the first rule broken, in this order, is the one reported
+    ([[0, 2], [1, 0]], [0, 1], [0, 1], "adjacency must be symmetric"),
+    ([[1, 2], [2, 0]], [0, 1], [0, 1], "adjacency must have zero diagonal (no self-loops)"),
+    ([[0, -1], [-1, 0]], [0, 1], [0, 1], "adjacency entries must be 0 or 1"),
 ])
 def test_class_form_validation(rows, classes, reps, message):
-    rows, classes = np.array(rows, dtype=float), np.array(classes)
+    # each case is the class form (U, c, reps) of the dense matrix A = U[c]
+    rows, classes = np.array(rows), np.array(classes)
+    assert np.unique(classes, return_index=True)[1].tolist() == reps
     with pytest.raises(ValueError) as exc:
-        Graph.__new__(Graph)._store(len(classes), rows, classes, reps, "bad")
+        Graph(len(classes), rows[classes])
     assert str(exc.value) == message
-    # the dense constructor of the same matrix reports the same rule
-    with pytest.raises(ValueError) as exc:
-        Graph(len(classes), rows[classes].astype(int))
-    assert str(exc.value) == message
+
+
+def _checked_in_class_form(n, a):
+    """The dense constructor as it was when every graph was checked after the
+    build, on its row classes: (rows, classes, reps) or the ValueError text."""
+    a = np.asarray(a, dtype=np.int64)
+    if a.view(np.uint64).max() <= 1:
+        a = a.astype(bool)
+    first = {}
+    raw = [first.setdefault(row.tobytes(), j) for j, row in enumerate(a)]
+    reps = np.array(list(first.values()), dtype=np.intp)
+    rows, classes = a.take(reps, axis=0), reps.searchsorted(raw)
+    m = rows.take(reps, axis=1)
+    if not (rows == m.T.take(classes, axis=1)).all():
+        return "adjacency must be symmetric"
+    if m.diagonal().any():
+        return "adjacency must have zero diagonal (no self-loops)"
+    if rows.dtype != bool and (rows.min() < 0 or rows.max() > 1):
+        return "adjacency entries must be 0 or 1"
+    return rows.astype(float), classes, reps
+
+
+def test_dense_checks_equal_class_form_checks():
+    # 6,000 matrices, 1-5 vertices, entries in {-1, 0, 1, 2}: the graph or the
+    # error text equals that of the class-form check on every one
+    rng = np.random.default_rng(29)
+    seen = set()
+    for _ in range(6000):
+        n = int(rng.integers(1, 6))
+        p_bad = rng.choice([0.0, 0.05, 0.3])  # chance of an entry -1 or 2
+        a = rng.choice([-1, 0, 1, 2], size=(n, n), p=[p_bad / 2, 0.5 - p_bad / 2,
+                                                       0.5 - p_bad / 2, p_bad / 2])
+        if rng.random() < 0.6:
+            a = np.triu(a) + np.triu(a, 1).T
+        if rng.random() < 0.7:
+            np.fill_diagonal(a, 0)
+        ref = _checked_in_class_form(n, a)
+        try:
+            g = Graph(n, a)
+        except ValueError as exc:
+            assert str(exc) == ref, a
+            seen.add(ref)
+            continue
+        assert not isinstance(ref, str), a
+        for mine, want in zip((g.rows, g.classes, g.reps), ref):
+            assert mine.dtype == want.dtype and mine.tobytes() == want.tobytes()
+        seen.add("graph")
+    assert len(seen) == 4  # every outcome occurs
 
 
 def _dense_family(name, *args):
@@ -461,6 +511,22 @@ def _twin_free(seed, n):
         a = a + a.T
         if len(np.unique(a, axis=0)) == n:
             return Graph(n, a, f"twin-free({n})")
+
+
+def _twin_free_edge_graph(seed, n):
+    """A G(n, 1/2) graph built from its edge list, with no twins (u = n)."""
+    a = np.triu(np.random.default_rng(seed).random((n, n)) < 0.5, k=1)
+    g = graph_from_edges(n, np.argwhere(a) + 1, f"twin-free-edges({n})")
+    assert len(g.reps) == n
+    return g
+
+
+@pytest.mark.parametrize("g", [star_graph(2048), multipartite_graph(4, 256), rectangular_graph(128),
+                               _twin_free_edge_graph(29, 600)], ids=lambda g: g.label)
+def test_builders_pass_the_dense_checks(g):
+    # the families and graph_from_edges are not checked: their A passes the
+    # checks of the dense constructor, at the sizes the benchmarks use
+    assert Graph(g.n, g.adjacency.astype(np.int64)) == g
 
 
 ROW_CLASS_GRAPHS = [star_graph(2), star_graph(9), empty_graph(1), empty_graph(7),

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import cvgraphsense
 
 # module -> the names the README shows, exported by the root as well
@@ -53,3 +55,26 @@ def test_root_exports_the_documented_api_only():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
+
+
+def test_perfbench_tracer_counts_one_build_per_graph(monkeypatch):
+    # perfbench/tracer.py wraps the program's functions by name, and counts
+    # graph.build_calls through Graph.__post_init__, which every constructor
+    # calls once; a refactor that breaks either shows here
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracer
+
+    for module in tracer.SPANS:
+        importlib.import_module(f"cvgraphsense.{module}")
+    graph_cls, cli = cvgraphsense.Graph, importlib.import_module("cvgraphsense.cli")
+    post_init, main = graph_cls.__dict__["__post_init__"], cli.main
+    tr = tracer.Tracer()
+    tr.install(cvgraphsense)
+    try:
+        cvgraphsense.Graph(2, np.array([[0, 1], [1, 0]]))
+        cvgraphsense.star_graph(4)
+        cvgraphsense.graph_from_edges(3, [(1, 2), (2, 3)])
+    finally:
+        tr.uninstall()
+    assert tracer.metrics(tr.totals)["graph.build_calls"] == 3
+    assert graph_cls.__dict__["__post_init__"] is post_init and cli.main is main

@@ -15,9 +15,9 @@ from cvgraphsense.gaussian import (
     mean_photon_number,
     squeeze_for_photon_budget,
 )
-from cvgraphsense.graph import (Graph, chi_disp, chi_phase, empty_graph, graph_from_edges,
-                                multipartite_graph, rectangular_graph, star_graph)
-from test_graph import ROW_CLASS_GRAPHS, _planted_twins, twin_graphs
+from cvgraphsense.graph import (Graph, chi_disp, chi_phase, empty_graph, multipartite_graph,
+                                rectangular_graph, star_graph)
+from test_graph import ROW_CLASS_GRAPHS, _planted_twins, _twin_free_edge_graph, twin_graphs
 
 from cvgraphsense.oracle import QFI_TOL, rel_error
 from cvgraphsense.qfi import (
@@ -74,9 +74,11 @@ def test_phase_equal_f_reduction():
         g = _random_graph(rng, n)
         r = float(rng.uniform(0, 2))
         fval = float(rng.uniform(0.2, 2.0))
-        full = qfi_phase_closed_form(g, r, np.full(n, fval))
-        reduced = qfi_phase_equal_f(g, r, fval)
-        assert reduced == pytest.approx(full, rel=1e-12)
+        # F = 2 n f^2 sinh^2(2r) + (1 + e^{4r}) f^2 Tr A^2 + (e^{4r}/2) f^2 Tr A^4
+        a, fsq, e4r = g.adjacency, fval**2, np.exp(4.0 * r)
+        t2, t4 = np.trace(a @ a), np.trace(np.linalg.matrix_power(a, 4))
+        reduced = 2.0 * n * fsq * np.sinh(2.0 * r) ** 2 + (1.0 + e4r) * fsq * t2 + 0.5 * e4r * fsq * t4
+        assert qfi_phase_equal_f(g, r, fval) == pytest.approx(reduced, rel=1e-12)
 
 
 def test_phase_generic_matches_single_mode():
@@ -264,14 +266,6 @@ def _phase_generic_on_expanded_blocks(state, f):
     diag = float(sq_f @ np.square(e[:n])) + float(sq_f @ np.square(e[n:]))
     qp = 2.0 * h * h * float(f @ (g @ f))
     return 2.0 * ((diag + qp) + float(f @ pp_f)) + 2.0 * float(sq_f @ state.mode_excess)
-
-
-def _twin_free_edge_graph(seed, n):
-    """A G(n, 1/2) graph built from its edge list, with no twins (u = n)."""
-    a = np.triu(np.random.default_rng(seed).random((n, n)) < 0.5, k=1)
-    g = graph_from_edges(n, np.argwhere(a) + 1, f"twin-free-edges({n})")
-    assert len(g.reps) == n
-    return g
 
 
 @pytest.mark.parametrize("g", [star_graph(1024), multipartite_graph(4, 256),
