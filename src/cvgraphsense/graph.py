@@ -26,16 +26,19 @@ class Graph:
     form one class: `classes` (c) numbers them in order of first occurrence,
     `rows` (U, float64) holds one row per class, `reps` its first vertex and
     `gram` is G = U U^T, so A = U[c] and (A^2)_jk = G[c[j], c[k]], exact below
-    2^53. All are read-only: c, U and reps are set at construction, G on its
-    first read. u = 2 on a star, 1 on the empty graph, l on the complete
-    l-partite graph: the families build these in O(u n). Graph(n, adjacency,
-    label) checks a dense A and hashes its rows once, O(n^2), graph_from_edges
-    each vertex's sorted neighbours, O(m log m + u n) for m pairs; without twins
-    c is the identity and u = n. Equality compares n and A only.
+    2^53. All are read-only, c and reps set at construction, G on its first
+    read. u = 2 on a star, 1 on the empty graph, l on the complete l-partite
+    graph: the families build these, and U, in O(u n). Graph(n, adjacency,
+    label) checks a dense A and hashes its rows once, O(n^2), and sets U.
+    graph_from_edges hashes each vertex's sorted neighbours, O(m log m) for m
+    pairs, and holds U as its ones, (class, column) pairs, until U is first
+    read; without twins c is the identity and u = n. Equality compares n and A
+    only, as c and the ones of U.
 
-    Other modules read A as g @ v = (U v)[c] or the float64 `adjacency`; only
-    the phase closed form's class sums, the generic phase QFI's blocks of A^2
-    and the grouped homodyne FI's quotient read U, c or G themselves.
+    Other modules read A as g @ v = (U v)[c], summed over the ones where the
+    graph holds them, or the float64 `adjacency`; only the phase closed form's
+    class sums, the generic phase QFI's blocks of A^2 and the grouped homodyne
+    FI's quotient read U, c or G themselves.
     """
 
     def __init__(self, n, adjacency, label="custom"):
@@ -59,15 +62,25 @@ class Graph:
         self.__post_init__(n, a.take(reps, axis=0), reps.searchsorted(raw), reps, label)
 
     def __post_init__(self, n, rows, classes, reps, label, degrees=None):
-        """Set A = rows[classes], reps the first vertex of each class; no checks, as only
-        Graph(n, adjacency) reads input that can be invalid. Every constructor ends in
-        exactly one call: perfbench's tracer wraps it to count graph.build_calls."""
-        self.n, self.label = n, label
-        self.rows, self.classes, self.reps = rows.astype(float, copy=False), classes, np.asarray(reps)
+        """Set A = U[classes], U as its dense rows or its ones, a tuple (class, column) in
+        row order; reps the first vertex of each class. No checks, as only Graph(n, adjacency)
+        reads input that can be invalid. Every constructor ends in exactly one call:
+        perfbench's tracer wraps it to count graph.build_calls."""
+        self.n, self.label, self.classes, self.reps = n, label, classes, np.asarray(reps)
+        self._ones = rows if isinstance(rows, tuple) else None
+        if self._ones is None:  # dense rows, which shadow the lazy `rows` below
+            self.rows = rows.astype(float, copy=False)
         self._degrees = rows.sum(axis=1, dtype=np.int64).take(classes) if degrees is None else degrees
-        for array in (self.rows, self.classes, self.reps, self._degrees):
-            array.flags.writeable = False
+        for array in (*(self._ones or (self.rows,)), self.classes, self.reps, self._degrees):
+            array.setflags(write=False)  # half the cost of flags.writeable = False
         return self
+
+    @functools.cached_property
+    def rows(self):  # an edge-built graph's U, formed from its ones on first read
+        rows = np.zeros((len(self.reps), self.n))
+        rows[self._ones] = 1.0
+        rows.flags.writeable = False
+        return rows
 
     @functools.cached_property
     def gram(self):
@@ -75,16 +88,23 @@ class Graph:
         gram.flags.writeable = False
         return gram
 
+    def _canonical(self):  # (c, class of each one of U, its column), ones in row order
+        return self.classes, *(np.nonzero(self.rows) if self._ones is None else self._ones)
+
     def __eq__(self, other):  # len(classes) == n
-        return (isinstance(other, Graph) and np.array_equal(self.classes, other.classes)
-                and np.array_equal(self.rows, other.rows))
+        return isinstance(other, Graph) and all(
+            map(np.array_equal, self._canonical(), other._canonical()))
 
     def __hash__(self):
-        return hash((self.classes.tobytes(), self.rows.tobytes()))
+        return hash(tuple(array.tobytes() for array in self._canonical()))
 
     def __matmul__(self, v):
-        """A v = (U v)[c] for a vector v, or for each column of a matrix v."""
-        return (self.rows @ v)[self.classes]
+        """A v = (U v)[c] for a vector v: a sum over the ones of U where the graph
+        holds them, else a product with its dense rows."""
+        if self._ones is None:
+            return (self.rows @ v)[self.classes]
+        one_class, column = self._ones  # bincount gives int zeros where U has no ones
+        return np.bincount(one_class, v[column], len(self.reps)).astype(float)[self.classes]
 
     @property
     def adjacency(self) -> np.ndarray:
@@ -124,9 +144,9 @@ def graph_from_edges(n, edges, label="custom") -> Graph:
     raw[vs] = [first.setdefault(row[a:b], v) for v, a, b in zip(vs.tolist(), [0] + ends, ends)]
     reps = np.flatnonzero(raw == np.arange(n))  # a class's first vertex is its own first twin
     classes = reps.searchsorted(raw)
-    rows = np.zeros((len(reps), n))
-    rows[classes[j], k] = 1.0  # twins write the same row
-    return Graph.__new__(Graph).__post_init__(n, rows, classes, reps, label, degrees)
+    first = raw[j] == j  # the ones of U: each class's row is its first vertex's
+    ones = (classes[j[first]], k[first])
+    return Graph.__new__(Graph).__post_init__(n, ones, classes, reps, label, degrees)
 
 
 def _integers(values):

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvgraphsense import graph
-from cvgraphsense.gaussian import graph_state_covariance
 from cvgraphsense.graph import (
     EdgelessGraphError,
     Graph,
@@ -24,8 +23,9 @@ from cvgraphsense.graph import (
     star_graph,
     trace_power,
 )
+from cvgraphsense.gaussian import graph_state_covariance, mean_photon_number
 from cvgraphsense.homodyne import saturate_displacement
-from cvgraphsense.qfi import qfi
+from cvgraphsense.qfi import cross_check, qfi
 
 
 def test_star_3_adjacency():
@@ -351,11 +351,11 @@ def _assert_matches_dense(g, a):
         assert trace_power(g, k) == np.trace(np.linalg.matrix_power(a, k))
     np.testing.assert_array_equal(adjacency_squared(g), a2)
     assert adjacency_square_sum(g) == a2.sum()
-    # A v for a vector and for the columns of a matrix; integer entries, so
-    # exact in any summation order
-    v = np.random.default_rng(g.n).integers(-9, 10, (g.n, 2)).astype(float)
-    np.testing.assert_array_equal(g @ v[:, 0], a @ v[:, 0])
+    # A v on integer entries, exact in any summation order; float64 also
+    # where A has no ones
+    v = np.random.default_rng(g.n).integers(-9, 10, g.n).astype(float)
     np.testing.assert_array_equal(g @ v, a @ v)
+    assert (g @ v).dtype == np.float64
     assert g.adjacency.dtype == np.float64
     np.testing.assert_array_equal(g.adjacency, a)
 
@@ -384,6 +384,10 @@ def test_graph_equality_and_hash():
     table = {star: "star", empty_graph(5): "empty", multipartite_graph(2, 1): "edge"}
     assert table[from_edges] == "star"
     assert table[graph_from_edges(2, [(2, 1)])] == "edge"
+    # two paths on 4 vertices, both twin-free: the same classes, other ones of U
+    path = graph_from_edges(4, [(1, 2), (2, 3), (3, 4)])
+    other = graph_from_edges(4, [(2, 1), (1, 3), (3, 4)])
+    assert path != other and path != Graph(4, other.adjacency) and path == Graph(4, path.adjacency)
 
 
 @st.composite
@@ -421,12 +425,18 @@ def _dense_from_pairs(n, pairs):
 @example((6, [(1, 2), (6, 5), (1, 5)]), "tuples").via("isolated vertices in the middle")
 def test_edge_built_graph_equals_dense_built_graph(case, form):
     n, pairs = case
-    dense = Graph(n, _dense_from_pairs(n, pairs), "label")
+    a = _dense_from_pairs(n, pairs)
+    dense = Graph(n, a, "label")
     if form == "text":
         g = parse_edge_list(f"{n}\n" + "".join(f"{i} {j}\n" for i, j in pairs), "label")
     else:
         edges = np.array(pairs, dtype=np.int64).reshape(-1, 2) if form == "array" else pairs
         g = graph_from_edges(n, edges, "label")
+    # the sum over the ones of U against the dense rows' product: on positive
+    # float v nothing cancels, so the summation order moves only the last bits
+    v = np.random.default_rng(n).random(n)
+    assert g @ v == pytest.approx(dense @ v, rel=1e-15, abs=0.0)
+    _assert_matches_dense(g, a)
     for mine, ref in zip((g.rows, g.classes, g.reps, g.degrees()),
                          (dense.rows, dense.classes, dense.reps, dense.degrees())):
         assert mine.dtype == ref.dtype and mine.shape == ref.shape
@@ -437,8 +447,8 @@ def test_edge_built_graph_equals_dense_built_graph(case, form):
 
 
 def test_edge_list_build_forms_no_dense_matrix():
-    # the float64 U (8 u n bytes) is the one array of n x n size: a dense
-    # int64 matrix or a second copy of U would exceed the bound
+    # an edge-built graph holds the ones of U, so a build forms no array of
+    # n x n size: U alone (8 n^2 bytes here) would be eight times the bound
     rng = np.random.default_rng(24)
     n = 2048
     pairs = rng.integers(1, n + 1, (21000, 2))
@@ -451,7 +461,8 @@ def test_edge_list_build_forms_no_dense_matrix():
         finally:
             tracemalloc.stop()
         assert g.n == n and len(g.reps) == n  # twin-free: u = n
-        assert peak <= 1.25 * g.rows.nbytes
+        assert "rows" not in vars(g)
+        assert peak <= n * n  # an eighth of U's size
 
 
 @st.composite
@@ -584,6 +595,22 @@ def test_gram_is_formed_on_first_read():
     np.testing.assert_array_equal(g.gram, g.rows @ g.rows.T)
     assert not g.gram.flags.writeable
     assert g.gram is vars(g)["gram"]
+
+
+def test_rows_formed_on_first_read():
+    # the displacement routes, the photon number, == and hash read the ones of
+    # an edge-built U; the phase routes form U once
+    g, dense = _twin_free_edge_graph(13, 40), Graph(40, _twin_free_edge_graph(13, 40).adjacency)
+    f = np.random.default_rng(13).random(2 * g.n)
+    cross_check(g, 1.0, f, "displacement")
+    mean_photon_number(g, 1.0)
+    assert g == dense and hash(g) == hash(dense)
+    assert "rows" not in vars(g)
+    qfi(g, 1.0, f[:g.n], "phase")
+    assert "rows" in vars(g)
+    assert not g.rows.flags.writeable
+    assert g.rows.tobytes() == dense.rows.tobytes()
+    assert g.rows is vars(g)["rows"]
 
 
 def test_trace_power_star():

@@ -39,6 +39,12 @@ REPLAY = "--manifest m.json"
 TWO_VALUED = ",".join(["1"] + ["0.5", "1.5"] * 7 + ["0.5"])
 
 
+def graded(length):
+    """Responsivities 1 + j/7 for j < length: their products round, so the record
+    sees the order in which a sum over them is taken."""
+    return ",".join(f"{1 + j / 7:.17g}" for j in range(length))
+
+
 def edge_list(n, adjacent):
     """Edge-list text of the graph on vertices 1..n with the pairs j < k where adjacent(j, k)."""
     pairs = [(j, k) for j in range(1, n + 1) for k in range(j + 1, n + 1) if adjacent(j, k)]
@@ -121,10 +127,15 @@ CORPUS = [
     "fi displacement --star 1024 --r 1 --alpha 0.813920 --beta 4.211975",
     # the derivative suite over more draws, and every suite on its first (star-graph) draw
     "verify derivatives --cases 1000 --seed 7", "verify all --cases 1 --seed 0",
-    # edge lists, with and without twins, and the hand-written and malformed ones
+    # edge lists, with and without twins, at f = 1 and at a graded f, and the
+    # hand-written and malformed ones
     *(f"{command} --edges {name}{args}" for name in ("random.edges", "twins.edges")
       for command, args in (("graph-info", ""), ("qfi phase", " --r 1"),
                             ("qfi displacement", " --r 1"), ("fi displacement", " --r 1 --optimize"))),
+    *(f"{command} --edges {name} --r 1 --f={graded(k * n)}{args}"
+      for name, n in (("random.edges", 24), ("twins.edges", 30))
+      for command, k, args in (("qfi displacement", 2, ""), ("qfi phase", 1, ""),
+                               ("fi displacement", 2, " --optimize"))),
     *(f"{command} --edges {name}{args}" for name in ("messy.edges", "malformed.edges")
       for command, args in (("graph-info", ""), ("qfi phase", " --r 1"),
                             ("qfi displacement", " --r 1"))),
