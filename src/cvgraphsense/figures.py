@@ -11,7 +11,7 @@ import functools
 import numpy as np
 
 from .gaussian import squeeze_for_photon_budget
-from .graph import empty_graph, star_graph
+from .graph import MAX_VERTICES, empty_graph, star_graph
 from .homodyne import optimize_angles, saturate_displacement
 from .qfi import qfi
 
@@ -25,8 +25,8 @@ DEFAULT_NTILDE = (1.0, 10.0)
 
 def n_grid(n_max=DEFAULT_N_MAX):
     """Integer log grid 2..n_max used for the mode-count sweeps."""
-    if n_max < 2:
-        raise ValueError("n_max must be at least 2")
+    if not 2 <= n_max <= MAX_VERTICES:
+        raise ValueError(f"n_max must be between 2 and {MAX_VERTICES}")
     return np.unique(np.geomspace(2, n_max, 17).round().astype(int))
 
 

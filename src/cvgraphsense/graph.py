@@ -13,6 +13,15 @@ import numpy as np
 
 _HEAD = r"(?:[ \t]*(?:#[^\n-\r\x1c-\x1e\x85\u2028\u2029]*)?\n)*[ \t]*[0-9]{1,18}[ \t]*(?:\n|\Z)"
 _ODD = r"(?m)^(?![ \t]*(?:[0-9]{1,18}[ \t]+[0-9]{1,18}[ \t]*|#[^\n-\r\x1c-\x1e\x85\u2028\u2029]*)?$)"
+MAX_VERTICES = 2**18  # above a 10^5-mode lattice; the phase QFI's 256 x n blocks are 0.5 GB
+
+
+def _capped(n, parts=1):
+    """n, checked before any array of size n, or parts x n (at most 256 MAX_VERTICES), is formed."""
+    if n > MAX_VERTICES or parts * n > 256 * MAX_VERTICES:
+        reason = f" for {parts} parts" if n <= MAX_VERTICES else ""
+        raise ValueError(f"vertex count {n} is too large{reason}")
+    return n
 
 
 class EdgelessGraphError(ValueError):
@@ -35,10 +44,9 @@ class Graph:
     read; without twins c is the identity and u = n. Equality compares n and A
     only, as c and the ones of U.
 
-    Other modules read A as g @ v = (U v)[c], summed over the ones where the
-    graph holds them, or the float64 `adjacency`; only the phase closed form's
-    class sums, the generic phase QFI's blocks of A^2 and the grouped homodyne
-    FI's quotient read U, c or G themselves.
+    Other modules read A only as g @ v = (U v)[c] (a sum over the ones where the
+    graph holds them), `adjacency`, `degrees()`, c as a grouping key and the three
+    class-form methods after it; U, G and reps stay inside this module.
     """
 
     def __init__(self, n, adjacency, label="custom"):
@@ -106,6 +114,25 @@ class Graph:
         one_class, column = self._ones  # bincount gives int zeros where U has no ones
         return np.bincount(one_class, v[column], len(self.reps)).astype(float)[self.classes]
 
+    def squared_a2_form(self, f) -> float:
+        """sum_jk f_j f_k ((A^2)_jk)^2 = w^T (G o G) w, w the class sums of f."""
+        w = np.bincount(self.classes, weights=f)
+        return float(w @ np.square(self.gram) @ w)
+
+    def squared_a2_product(self, s, f) -> np.ndarray:
+        """The vector sum_{k != j} (s (A^2)_jk)^2 f_k: s G squared on the u class
+        columns of 256 of its rows G[c] at a time, then expanded to n columns."""
+        c, out = self.classes, np.empty(self.n)
+        for i in range(0, self.n, 256):
+            block = np.square(s * self.gram.take(c[i:i + 256], axis=0)).take(c, axis=1)
+            np.fill_diagonal(block[:, i:], 0.0)
+            out[i:i + 256] = block @ f
+        return out
+
+    def induced_adjacency(self, s) -> np.ndarray:
+        """A[s][:, s] in float64 for an array s of vertex indices."""
+        return self.rows[np.ix_(self.classes[s], s)]
+
     @property
     def adjacency(self) -> np.ndarray:
         """The dense float64 matrix A = U[c], expanded anew on each read."""
@@ -123,9 +150,9 @@ def graph_from_edges(n, edges, label="custom") -> Graph:
     """Build a graph from 1-based unordered vertex pairs, with no n x n array.
 
     Duplicates collapse; the first self-loop, or pair out of range or not integral,
-    raises ValueError, as does a vertex count whose keys j n + k would pass int64."""
-    if n < 1 or int(n) ** 2 > np.iinfo(np.int64).max:
-        raise ValueError("vertex count must be positive" if n < 1 else f"vertex count {n} is too large")
+    raises ValueError, as does a vertex count above MAX_VERTICES."""
+    if _capped(n) < 1:
+        raise ValueError("vertex count must be positive")
     e = _integers(edges).reshape(len(edges), 2)
     bad = np.flatnonzero((e[:, 0] == e[:, 1])
                          | ((e < 1) | (e > n) | (e != np.reshape(edges, e.shape))).any(axis=1))
@@ -136,7 +163,7 @@ def graph_from_edges(n, edges, label="custom") -> Graph:
     keys = np.sort(((e - 1) @ [[n, 1], [1, n]]).ravel())  # A_jk = 1 as j n + k, row by row
     keys = keys[np.diff(keys, prepend=-1) != 0]
     j, k = np.divmod(keys, n)
-    degrees = np.bincount(j, minlength=n)  # the first array of size n: too large an n fails here
+    degrees = np.bincount(j, minlength=n)  # the first array of size n
     vs = np.flatnonzero(degrees)  # the vertices with neighbours, whose runs follow in k
     ends = (8 * degrees[vs].cumsum()).tolist()  # vs[i]'s run is row[ends[i-1]:ends[i]]
     row, first = k.tobytes(), {}  # first: key, a run's bytes; value, its first vertex
@@ -167,14 +194,14 @@ def empty_graph(n) -> Graph:
     """The edgeless graph on n vertices (separable probe): one class."""
     if n < 1:
         raise ValueError("vertex count must be positive")
-    return _complete_multipartite(np.zeros(n, dtype=np.intp), [0], f"empty({n})")
+    return _complete_multipartite(np.zeros(_capped(n), dtype=np.intp), [0], f"empty({n})")
 
 
 def star_graph(n) -> Graph:
     """Star on n >= 2 vertices, vertex 1 being the hub: classes hub and leaves."""
     if n < 2:
         raise ValueError("star graph needs n >= 2")
-    return _complete_multipartite(np.arange(n).clip(max=1), [0, 1], f"star({n})")
+    return _complete_multipartite(np.arange(_capped(n)).clip(max=1), [0, 1], f"star({n})")
 
 
 def multipartite_graph(l, m) -> Graph:
@@ -188,7 +215,7 @@ def multipartite_graph(l, m) -> Graph:
         raise ValueError("multipartite graph needs l >= 2 parts")
     if m < 1:
         raise ValueError("multipartite graph needs part size m >= 1")
-    return _complete_multipartite(np.arange(l * m) // m, np.arange(0, l * m, m),
+    return _complete_multipartite(np.arange(_capped(l * m, l)) // m, np.arange(0, l * m, m),
                                   f"multipartite({l},{m})")
 
 
@@ -201,7 +228,7 @@ def rectangular_graph(m) -> Graph:
     """
     if m < 2:
         raise ValueError("rectangular graph needs m >= 2")
-    i = np.arange(1, 4 * m + 1)
+    i = np.arange(1, _capped(4 * m) + 1)
     edges = np.concatenate([np.stack((i[:-off], i[off:]), axis=1) for off in (1, 4)])
     return graph_from_edges(4 * m, edges, f"rectangular({m})")
 
@@ -211,16 +238,15 @@ def trace_power(g: Graph, k) -> int:
 
     Summed over the row classes of g (Graph), w the class sizes: Tr(A^2) is the
     degree sum, Tr(A^4) = w^T (G o G) w and otherwise Tr((diag(w) M)^k), as
-    A = P M P^T (P the class indicator, M = U[:, reps]); exact below 2^53.
+    A = P M P^T (P the class indicator, M = A[reps][:, reps]); exact below 2^53.
     """
     if k < 1:
         raise ValueError("power must be a positive integer")
     if k == 2:
         return int(g.degrees().sum())
-    w = np.bincount(g.classes).astype(float)
     if k == 4:
-        return int(round(float(w @ np.square(g.gram) @ w)))
-    wm = w[:, None] * g.rows[:, g.reps]
+        return int(round(g.squared_a2_form(np.ones(g.n))))
+    wm = np.bincount(g.classes)[:, None] * g.induced_adjacency(g.reps)
     return int(round(float(np.trace(np.linalg.matrix_power(wm, k)))))
 
 

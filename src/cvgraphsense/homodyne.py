@@ -208,7 +208,7 @@ def _grouped_fi_function(g: Graph, r, f, phi, slots, modality):
     _, reps, nu = np.unique(np.column_stack([g.classes, slots, f_cols]), axis=0,
                             return_index=True, return_counts=True)
     scale = np.sqrt(nu)
-    quotient = g.rows[np.ix_(g.classes[reps], reps)] * np.outer(scale, scale)
+    quotient = g.induced_adjacency(reps) * np.outer(scale, scale)
     fk = f_cols[reps].T.ravel() if modality == "phase" else (f_cols[reps].T * scale).ravel()
     slot, twins, shift = slots[reps], nu - 1.0, _shift(fk, phi, modality)
     x, gap = math.exp(2.0 * r), 4.0 * math.sinh(2.0 * r)  # gap = 2 (x - 1/x)

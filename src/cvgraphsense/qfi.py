@@ -25,18 +25,15 @@ def qfi_phase_closed_form(g: Graph, r, f) -> float:
         + sum_jk (f_j^2 + e^{4r} f_j f_k) A_jk^2
         + (e^{4r}/2) sum_jk f_j f_k (A^2)_jk^2
 
-    Both sums run over the u row classes of g (A = U[c], A^2 = G[c][:, c],
-    see Graph) with w_c the sum of f over class c. A_jk^2 = A_jk turns the
-    second into (f o f).deg + e^{4r} w.(U f) and the third is w^T (G o G) w,
-    so the float arrays are u x n and u x u, not n x n.
+    A_jk^2 = A_jk turns the second sum into (f o f).deg + e^{4r} f.(A f), and the
+    third is g.squared_a2_form(f), summed on the row classes: no n x n array.
     """
     r = check_r(r)
     f = check_f(f, g.n, "phase")
     e4r = np.exp(4.0 * r)
-    w = np.bincount(g.classes, weights=f)
     term1 = 2.0 * s2 * float(f @ f) if (s2 := np.sinh(2.0 * r) ** 2) else 0.0  # not 0 * inf
-    term2 = float(np.square(f) @ g.degrees()) + e4r * float(w @ (g.rows @ f))
-    term3 = 0.5 * e4r * float(w @ np.square(g.gram) @ w)
+    term2 = float(np.square(f) @ g.degrees()) + e4r * float(f @ (g @ f))
+    term3 = 0.5 * e4r * g.squared_a2_form(f)
     return term1 + term2 + term3
 
 
@@ -73,7 +70,7 @@ def qfi_phase_generic(state: GaussianState, f) -> float:
     where the |f|^2 term cancels exactly and m_j = e_{q_j} + e_{p_j} is
     state.mode_excess, whose terms share one sign: as r -> 0 nothing cancels.
     On a graph state's blocks (h = e^{2r}/2), qp = pq = h A gives 2 h^2 f^T A f
-    as A_jk^2 = A_jk; pp = h A^2 is squared on 256 rows of G[c] at a time, then expanded.
+    as A_jk^2 = A_jk; pp = h A^2 gives g.squared_a2_product(h, f) off the diagonal, e^2 on it.
     """
     f = check_f(f, state.n, "phase")
     sq_f, e, n, g = np.square(f), state.excess_diag, state.n, state.graph
@@ -81,14 +78,10 @@ def qfi_phase_generic(state: GaussianState, f) -> float:
         d, sq = np.concatenate((f, f)), np.square(state.cov)
         np.fill_diagonal(sq, np.square(e))
         return 2.0 * float(d @ (sq @ d)) + 2.0 * float(sq_f @ state.mode_excess)
-    h, c, pp_f = 0.5 * np.exp(2.0 * state.r), g.classes, np.empty(n)
-    for s in range(0, n, 256):
-        block = np.square(h * g.gram.take(c[s:s + 256], axis=0)).take(c, axis=1)
-        np.fill_diagonal(block[:, s:], 0.0)  # the diagonal of E o E is e^2
-        pp_f[s:s + 256] = block @ f
+    h = 0.5 * np.exp(2.0 * state.r)
     diag = float(sq_f @ np.square(e[:n])) + float(sq_f @ np.square(e[n:]))
-    qp = 2.0 * h * h * float(f @ (g @ f))
-    return 2.0 * ((diag + qp) + float(f @ pp_f)) + 2.0 * float(sq_f @ state.mode_excess)
+    qp, pp = 2.0 * h * h * float(f @ (g @ f)), float(f @ g.squared_a2_product(h, f))
+    return 2.0 * ((diag + qp) + pp) + 2.0 * float(sq_f @ state.mode_excess)
 
 
 def qfi_displacement(state: GaussianState, f) -> float:

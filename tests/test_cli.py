@@ -14,7 +14,8 @@ from cvgraphsense import cli, figures, oracle
 from cvgraphsense import qfi as qfi_module
 from cvgraphsense.cli import main, parse_f
 from cvgraphsense.gaussian import squeeze_for_photon_budget
-from cvgraphsense.graph import adjacency_square_sum, empty_graph, star_graph, trace_power
+from cvgraphsense.graph import (MAX_VERTICES, adjacency_square_sum, empty_graph, star_graph,
+                                trace_power)
 
 
 def run_cli(capsys, *argv):
@@ -80,7 +81,7 @@ def test_graph_info_from_edge_file(tmp_path, capsys):
 @pytest.mark.parametrize("text,message", [
     ("2\n1 2.5\n", "line 2: expected integer vertex indices 'i j', got '1 2.5'"),
     ("2.5\n1 2\n", "line 1: expected an integer vertex count, got '2.5'"),
-    # n^2 is beyond int64: refused before anything of size n is formed
+    # above MAX_VERTICES: refused before anything of size n is formed
     ("10000000000\n1 2\n", "vertex count 10000000000 is too large"),
 ])
 def test_graph_info_malformed_edge_file(tmp_path, capsys, text, message):
@@ -90,26 +91,61 @@ def test_graph_info_malformed_edge_file(tmp_path, capsys, text, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="caps the address space")
-def test_graph_info_unallocatable_vertex_count(tmp_path):
-    # below the int64 guard, a count too large to allocate fails at the first array
-    # of size n, before any loop over the vertices; the 4 GiB address-space cap makes
-    # that so on any machine, and the timeout would catch a loop over 3e9 vertices
+def _run_under_address_cap(tmp_path, *argv):
+    """The CLI in a subprocess whose address space is capped at 4 GiB, run in tmp_path."""
     import resource
 
     def cap():
         hard = resource.getrlimit(resource.RLIMIT_AS)[1]
         resource.setrlimit(resource.RLIMIT_AS, (4 << 30, hard))
 
-    path = tmp_path / "g.edges"
-    path.write_text("3000000000\n1 2\n")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-m", "cvgraphsense.cli", "graph-info", "--edges",
-                           str(path)], capture_output=True, text=True, env=env, timeout=60,
-                          preexec_fn=cap)
+    return subprocess.run([sys.executable, "-m", "cvgraphsense.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=60, preexec_fn=cap, cwd=tmp_path)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="caps the address space")
+def test_graph_info_unallocatable_vertex_count(tmp_path):
+    # a count above MAX_VERTICES is refused before any array of size n is formed: under
+    # the 4 GiB address-space cap 3e9 int64 degrees could not be allocated on any
+    # machine, and the timeout would catch a loop over 3e9 vertices
+    (tmp_path / "g.edges").write_text("3000000000\n1 2\n")
+    proc = _run_under_address_cap(tmp_path, "graph-info", "--edges", "g.edges")
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr == "error: vertex count 3000000000 is too large\n"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="caps the address space")
+@pytest.mark.parametrize("argv, message", [
+    (["graph-info", "--star", str(MAX_VERTICES + 1)], f"vertex count {MAX_VERTICES + 1}"),
+    (["graph-info", "--empty", str(MAX_VERTICES + 1)], f"vertex count {MAX_VERTICES + 1}"),
+    (["graph-info", "--rectangular", str(MAX_VERTICES // 4 + 1)],
+     f"vertex count {MAX_VERTICES + 4}"),
+    # checked before its 4m-vertex range, which the address-space cap would refuse
+    (["graph-info", "--rectangular", str(2**40)], f"vertex count {2**42}"),
+    (["graph-info", "--multipartite", "2", str(MAX_VERTICES // 2 + 1)],
+     f"vertex count {MAX_VERTICES + 2}"),
+    # n = 8193 is far below the cap, but its 8193 x n class rows pass 256 MAX_VERTICES
+    (["qfi", "phase", "--multipartite", "8193", "1", "--r", "1"], "vertex count 8193"),
+    (["graph-info", "--edges", "g.edges"], f"vertex count {MAX_VERTICES + 1}"),
+    (["figure", "fig2", "--n-max", str(MAX_VERTICES + 1)], "n_max must be between 2"),
+], ids=["star", "empty", "rectangular", "rectangular-huge", "multipartite", "multipartite-parts",
+        "edges", "n-max"])
+def test_vertex_count_above_the_cap_exits_2(tmp_path, argv, message):
+    # each is refused before an array of size n forms; without the cap a build (or a
+    # figure point) of this size would run, and only memory would stop a larger one
+    (tmp_path / "g.edges").write_text(f"{MAX_VERTICES + 1}\n1 2\n")
+    proc = _run_under_address_cap(tmp_path, *argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(f"error: {message}") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_vertex_count_at_the_cap_is_built(tmp_path, capsys):
+    (tmp_path / "g.edges").write_text(f"{MAX_VERTICES}\n1 2\n")
+    for flag, value in (("--star", MAX_VERTICES), ("--edges", tmp_path / "g.edges")):
+        code, out, _ = run_cli(capsys, "graph-info", flag, str(value))
+        assert code == 0 and json.loads(out)["n"] == MAX_VERTICES
 
 
 def test_qfi_phase_star3(capsys):

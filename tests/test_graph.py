@@ -613,6 +613,65 @@ def test_rows_formed_on_first_read():
     assert g.rows is vars(g)["rows"]
 
 
+# graphs above 256 vertices, whose squared_a2_product spans several blocks of rows
+LARGE_BUILT_GRAPHS = [star_graph(300), multipartite_graph(3, 100), rectangular_graph(70),
+                      _planted_twins(14, 270, 9), _twin_free_edge_graph(15, 260),
+                      graph_from_edges(280, np.argwhere(np.triu(_planted_twins(16, 280, 11)
+                                                                .adjacency)) + 1)]
+
+
+@st.composite
+def built_graphs(draw):
+    """A graph built one of four ways: a family, Graph(n, adjacency), an edge list
+    of random pairs or of a graph with planted twins; or one of LARGE_BUILT_GRAPHS."""
+    way = draw(st.sampled_from(["family", "dense", "edges", "twin edges", "large"]))
+    if way == "family":
+        spec = draw(st.sampled_from(SMALL_FAMILIES))
+        return FAMILIES[spec[0]](*spec[1:])
+    if way == "edges":
+        n, pairs = draw(edge_lists())
+        return graph_from_edges(n, pairs)
+    if way == "large":
+        return draw(st.sampled_from(LARGE_BUILT_GRAPHS))
+    a, _ = draw(twin_graphs())
+    if way == "dense":
+        return Graph(len(a), a)
+    return graph_from_edges(len(a), np.argwhere(np.triu(a)) + 1)
+
+
+def _squared_a2_product_loop(g, s, f):
+    """The phase QFI's loop over blocks of 256 rows, as it read G before it moved into Graph."""
+    c, out = g.classes, np.empty(g.n)
+    for i in range(0, g.n, 256):
+        block = np.square(s * g.gram.take(c[i:i + 256], axis=0)).take(c, axis=1)
+        np.fill_diagonal(block[:, i:], 0.0)
+        out[i:i + 256] = block @ f
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(built_graphs(), st.data())
+def test_class_form_methods_match_dense_references(g, data):
+    a = g.adjacency.astype(np.int64)
+    a2 = a @ a
+    # sum_jk f_j f_k ((A^2)_jk)^2 on integer f: exact in any summation order
+    f = np.array(data.draw(st.lists(st.integers(-5, 5), min_size=g.n, max_size=g.n)))
+    assert g.squared_a2_form(f.astype(float)) == int(f @ (a2 * a2) @ f)
+    # the off-diagonal sums of (s A^2)^2 f: bit for bit the loop, and close to the dense product
+    s = data.draw(st.floats(0.01, 100.0))
+    f = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).uniform(-2.0, 2.0, g.n)
+    product = g.squared_a2_product(s, f)
+    assert product.tobytes() == _squared_a2_product_loop(g, s, f).tobytes()
+    dense = np.square(s * a2.astype(float))
+    np.fill_diagonal(dense, 0.0)
+    np.testing.assert_allclose(product, dense @ f, rtol=1e-12, atol=1e-12 * np.abs(dense).sum())
+    # A[S][:, S] for a vertex list S in any order, with repeats
+    subset = np.array(data.draw(st.lists(st.integers(0, g.n - 1), max_size=12)), dtype=np.intp)
+    induced = g.induced_adjacency(subset)
+    assert induced.dtype == np.float64
+    np.testing.assert_array_equal(induced, g.adjacency[np.ix_(subset, subset)])
+
+
 def test_trace_power_star():
     g = star_graph(5)
     assert trace_power(g, 1) == 0

@@ -1,5 +1,6 @@
 """The package root exports the documented API; everything else lives in its module."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -55,6 +56,18 @@ def test_root_exports_the_documented_api_only():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
+
+
+def test_only_graph_module_reads_the_class_form():
+    # other modules read A through Graph's methods, adjacency, degrees() and classes,
+    # never through U, G, reps or the ones of U that graph.py holds
+    modules = sorted(Path(cvgraphsense.__file__).resolve().parent.glob("*.py"))
+    assert {"qfi.py", "homodyne.py", "gaussian.py"} <= {path.name for path in modules}
+    reads = [f"{path.name}:{node.lineno} .{node.attr}" for path in modules
+             if path.name != "graph.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr in {"rows", "gram", "reps", "_ones"}]
+    assert reads == []
 
 
 def test_perfbench_tracer_counts_one_build_per_graph(monkeypatch):

@@ -136,6 +136,14 @@ CORPUS = [
       for name, n in (("random.edges", 24), ("twins.edges", 30))
       for command, k, args in (("qfi displacement", 2, ""), ("qfi phase", 1, ""),
                                ("fi displacement", 2, " --optimize"))),
+    # family-built graphs at a graded f, whose class sums are not exact in every order
+    f"qfi phase --star 64 --r 1 --f={graded(64)}",
+    f"qfi phase --multipartite 3 5 --r 1 --f={graded(15)}",
+    f"qfi phase --rectangular 16 --r 1 --f={graded(64)}",
+    f"qfi displacement --star 64 --r 1 --f={graded(128)}",
+    f"fi displacement --multipartite 4 8 --r 1 --optimize --f={graded(64)}",
+    f"fi phase --star 6 --r 1 --f={graded(6)} --optimize",
+    f"fi phase --star 6 --r 1 --f={graded(6)} --alpha 0.7 --beta 1.9",
     *(f"{command} --edges {name}{args}" for name in ("messy.edges", "malformed.edges")
       for command, args in (("graph-info", ""), ("qfi phase", " --r 1"),
                             ("qfi displacement", " --r 1"))),
